@@ -6,7 +6,7 @@
 //
 // Observability (DESIGN.md §13): the client carries its own flight
 // recorder with recv/decode/upscale/sr/merge/present spans per frame,
-// adopting the server's flight IDs from v2 FramePackets so a client dump
+// adopting the server's flight IDs from FramePackets so a client dump
 // and the server's merge into one distributed trace (`gssr trace -merge`).
 // The handshake's Cristian-style timestamp exchange yields a clock-offset
 // estimate (error ≤ RTT/2) from which every frame's end-to-end age
@@ -29,14 +29,16 @@
 // sends no input events — but keeps the full decode/upscale/SR path, the
 // flight recorder and the Stats backchannel.
 //
-// Fault tolerance (DESIGN.md §15): on v4 sessions the client heartbeats
-// (-ping) so the server can tell dead from slow, and -reconnect N redials a
+// Fault tolerance (DESIGN.md §15): the client heartbeats (-ping) so the
+// server can tell dead from slow, and -reconnect N redials a
 // dropped session up to N times with exponential backoff + jitter. A
 // publisher replays its resume token, reclaiming its parked channel so
 // spectators ride through the drop; a spectator simply re-subscribes.
 // Typed rejects steer the loop: busy/capacity waits (using the server's
 // suggested retry-after when present), while bad-hello, channel-taken and
-// unknown-channel are fatal — no retry will change the server's mind.
+// unknown-channel are fatal — no retry will change the server's mind. A
+// server speaking another protocol version answers bad-hello, naming both
+// versions.
 package main
 
 import (
@@ -81,7 +83,7 @@ func main() {
 	flag.IntVar(&cfg.reconnect, "reconnect", 0, "redial a dropped session up to N times (0 disables auto-reconnect)")
 	flag.DurationVar(&cfg.reconnectBase, "reconnect-base", 500*time.Millisecond, "initial reconnect backoff (doubles per attempt, with jitter)")
 	flag.DurationVar(&cfg.reconnectMax, "reconnect-max", 15*time.Second, "reconnect backoff ceiling")
-	flag.DurationVar(&cfg.ping, "ping", stream.DefaultPingInterval, "heartbeat interval on v4 sessions (0 disables pings)")
+	flag.DurationVar(&cfg.ping, "ping", stream.DefaultPingInterval, "heartbeat interval (0 disables pings; the server then reaps a session silent past its idle timeout)")
 	flag.Parse()
 	if cfg.channel != "" && cfg.spectate != "" {
 		logx.Error("-channel and -spectate are mutually exclusive: publish or spectate, not both")
@@ -112,15 +114,17 @@ type clientConfig struct {
 	ping                        time.Duration
 }
 
-// connect dials addr and performs the handshake, closing the connection on
-// failure.
-func connect(addr string, h stream.Hello) (net.Conn, *stream.Client, stream.Accept, error) {
+// dial connects to addr and opens the session with open (a Handshake or a
+// Subscribe), closing the connection on failure. A refusal surfaces as
+// *stream.RejectedError; the reconnect loop in run decides whether it is
+// final.
+func dial(addr string, open func(*stream.Client) (stream.Accept, error)) (net.Conn, *stream.Client, stream.Accept, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, nil, stream.Accept{}, err
 	}
 	c := stream.NewClient(conn)
-	cfg, err := c.Handshake(h)
+	cfg, err := open(c)
 	if err != nil {
 		conn.Close()
 		return nil, nil, stream.Accept{}, err
@@ -128,41 +132,14 @@ func connect(addr string, h stream.Hello) (net.Conn, *stream.Client, stream.Acce
 	return conn, c, cfg, nil
 }
 
-// dialHandshake connects with the newest protocol and falls back to a v1
-// hello on a non-Reject handshake failure: a pre-versioning server parses
-// the Hello strictly and drops the connection on the trailing version
-// fields, so one redial with the original encoding keeps
-// new-client↔old-server interop. A typed Reject (busy, capacity, bad
-// hello) is final — no retry will change the server's mind.
+// dialHandshake dials addr and opens a game session with hello.
 func dialHandshake(addr string, hello stream.Hello) (net.Conn, *stream.Client, stream.Accept, error) {
-	conn, c, cfg, err := connect(addr, hello)
-	if err == nil {
-		return conn, c, cfg, nil
-	}
-	var rej *stream.RejectedError
-	if errors.As(err, &rej) || hello.Version < stream.ProtocolV2 {
-		return nil, nil, stream.Accept{}, err
-	}
-	logx.Warn("v2 handshake failed; retrying with a v1 hello", "err", err)
-	hello.Version, hello.SendUnixMicro, hello.Channel, hello.ResumeToken = 0, 0, "", ""
-	return connect(addr, hello)
+	return dial(addr, func(c *stream.Client) (stream.Accept, error) { return c.Handshake(hello) })
 }
 
-// dialSubscribe dials addr and joins channel as a spectator. Subscribe is a
-// v3-only message, so there is no v1 redial: a pre-relay server answers with
-// a protocol error and the session fails loudly.
+// dialSubscribe dials addr and joins a channel as a spectator.
 func dialSubscribe(addr string, sub stream.Subscribe) (net.Conn, *stream.Client, stream.Accept, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, nil, stream.Accept{}, err
-	}
-	c := stream.NewClient(conn)
-	cfg, err := c.Subscribe(sub)
-	if err != nil {
-		conn.Close()
-		return nil, nil, stream.Accept{}, err
-	}
-	return conn, c, cfg, nil
+	return dial(addr, func(c *stream.Client) (stream.Accept, error) { return c.Subscribe(sub) })
 }
 
 // fatalReject reports whether a typed reject can never succeed on retry:
@@ -305,36 +282,30 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 	} else {
 		conn, c, cfg, err = dialHandshake(cc.addr, stream.Hello{
 			Device: dev.Name, RoIWindow: min(roiWin, 64), Scale: cc.scale,
-			Version: stream.ProtocolVersion, Channel: cc.channel,
-			ResumeToken: st.resumeToken,
+			Channel: cc.channel, ResumeToken: st.resumeToken,
 		})
 	}
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	v2 := cfg.Version >= stream.ProtocolV2
 	if cfg.Token != "" {
-		// The v4 resume token: replayed on the next dial, it correlates
-		// this client across reconnects and reclaims a parked channel.
+		// The resume token: replayed on the next dial, it correlates this
+		// client across reconnects and reclaims a parked channel.
 		st.resumeToken = cfg.Token
 	}
 	clock := c.Clock()
 	switch {
 	case cc.spectate != "":
-		logx.Info("spectating", "channel", cc.spectate, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", max(cfg.Version, 1))
+		logx.Info("spectating", "channel", cc.spectate, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep)
 	case cc.channel != "":
-		logx.Info("publishing", "channel", cc.channel, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", max(cfg.Version, 1))
+		logx.Info("publishing", "channel", cc.channel, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep)
 	default:
-		logx.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", max(cfg.Version, 1))
+		logx.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep)
 	}
-	if clock.Synced {
-		logx.Info("clock sync", "offset", clock.Offset.Round(time.Microsecond),
-			"rtt", clock.RTT.Round(time.Microsecond), "offset_err_bound", (clock.RTT / 2).Round(time.Microsecond))
-	}
-	if clock.Synced {
-		st.rec.SetClockSync(clock.Offset, clock.RTT)
-	}
+	logx.Info("clock sync", "offset", clock.Offset.Round(time.Microsecond),
+		"rtt", clock.RTT.Round(time.Microsecond), "offset_err_bound", (clock.RTT / 2).Round(time.Microsecond))
+	st.rec.SetClockSync(clock.Offset, clock.RTT)
 
 	// A signal mid-stream sends the Bye and closes the connection,
 	// unblocking the receive loop; a session that ends first retires the
@@ -357,10 +328,10 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		}
 	}()
 
-	// Heartbeats (v4): the liveness signal the server's reaper watches for.
-	// The loop stops with the session; a failed ping just means the
-	// connection is going down, which the receive loop will surface.
-	if cfg.Version >= stream.ProtocolV4 && cc.ping > 0 {
+	// Heartbeats: the liveness signal the server's reaper watches for. The
+	// loop stops with the session; a failed ping just means the connection
+	// is going down, which the receive loop will surface.
+	if cc.ping > 0 {
 		go func() {
 			t := time.NewTicker(cc.ping)
 			defer t.Stop()
@@ -408,8 +379,9 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 			}
 			break
 		}
-		// Adopt the server's flight ID (v1 servers send none; fall back to
-		// local IDs) so both processes' dumps correlate by frame identity.
+		// Adopt the server's flight ID (0 when the server records no flight;
+		// the recorder then numbers locally) so both processes' dumps
+		// correlate by frame identity.
 		fid := st.rec.BeginFrameAt(pkt.FlightID, int(pkt.Index))
 		st.rec.Span(fid, "recv", "recv", tRecv, dRecv)
 
@@ -464,15 +436,10 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		// End-to-end frame age, on the server's clock via the handshake
 		// offset: how stale this frame is as the user sees it (Fig. 9's
 		// end-to-end latency, extended over the wire).
-		if pkt.SendUnixMicro != 0 && clock.Synced {
-			age := tPresent.Sub(clock.ServerTime(pkt.SendUnixMicro))
-			if age < 0 {
-				age = 0
-			}
-			st.rec.SetAge(fid, age)
-			st.ageHist.ObserveDuration(age)
-			st.wAge = append(st.wAge, float64(age.Microseconds()))
-		}
+		age := max(tPresent.Sub(clock.ServerTime(pkt.SendUnixMicro)), 0)
+		st.rec.SetAge(fid, age)
+		st.ageHist.ObserveDuration(age)
+		st.wAge = append(st.wAge, float64(age.Microseconds()))
 
 		// Client-side deadline accounting: decode through merge must fit the
 		// frame budget (recv excluded — it is the server's pacing, not this
@@ -496,9 +463,8 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		}
 
 		// The telemetry backchannel: windowed percentiles every N frames,
-		// piggybacked on the input path (v2 sessions only — a v1 server
-		// stops reading input at the first unknown message).
-		if v2 && cc.statsEvery > 0 && st.frames%cc.statsEvery == 0 {
+		// piggybacked on the input path.
+		if cc.statsEvery > 0 && st.frames%cc.statsEvery == 0 {
 			p := stream.StatsPacket{
 				Seq: st.statsSeq, WindowFrames: uint32(len(st.wDecode)),
 				Dropped: st.dropped, Misses: st.misses,

@@ -1,101 +1,15 @@
 package main
 
 import (
-	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"testing"
 
 	"gamestreamsr/internal/stream"
 )
 
-// oldServer simulates a pre-versioning gssr-server for n connections: it
-// reads one length-prefixed message, strictly parses the v1 Hello layout
-// (device name, then exactly two uvarints — trailing bytes are a protocol
-// error, exactly like the old readUvarints), and either drops the
-// connection (v2 hello) or answers with a v1 Accept and a Bye.
-func oldServer(t *testing.T, l net.Listener, conns int) {
-	t.Helper()
-	for i := 0; i < conns; i++ {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		func() {
-			defer conn.Close()
-			hdr := make([]byte, 1)
-			if _, err := io.ReadFull(conn, hdr); err != nil || hdr[0] != 1 { // MsgHello
-				return
-			}
-			var blen uint64
-			b := make([]byte, 1)
-			for shift := 0; ; shift += 7 {
-				if _, err := io.ReadFull(conn, b); err != nil {
-					return
-				}
-				blen |= uint64(b[0]&0x7f) << shift
-				if b[0] < 0x80 {
-					break
-				}
-			}
-			body := make([]byte, blen)
-			if _, err := io.ReadFull(conn, body); err != nil {
-				return
-			}
-			// Strict v1 parse: device name + exactly 2 uvarints.
-			if len(body) < 1 || len(body) < 1+int(body[0]) {
-				return
-			}
-			rest := body[1+int(body[0]):]
-			for fields := 0; fields < 2; fields++ {
-				_, n := binary.Uvarint(rest)
-				if n <= 0 {
-					return
-				}
-				rest = rest[n:]
-			}
-			if len(rest) != 0 {
-				return // trailing bytes: old server drops the connection
-			}
-			if err := stream.WriteAccept(conn, stream.Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6}); err != nil {
-				return
-			}
-			_ = stream.WriteBye(conn)
-		}()
-	}
-}
-
-// TestDowngradeRedial: against a strict old server, the client's first
-// (versioned) handshake dies and the automatic v1 redial succeeds with an
-// unversioned session.
-func TestDowngradeRedial(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go oldServer(t, l, 2)
-
-	hello := stream.Hello{Device: "test", RoIWindow: 16, Scale: 2, Version: stream.ProtocolVersion}
-	conn, c, cfg, err := dialHandshake(l.Addr().String(), hello)
-	if err != nil {
-		t.Fatalf("downgrade redial failed: %v", err)
-	}
-	defer conn.Close()
-	if cfg.Version != 0 {
-		t.Fatalf("v1 session reports version %d", cfg.Version)
-	}
-	if c.Clock().Synced {
-		t.Fatal("v1 session must not claim clock sync")
-	}
-	if _, err := c.RecvFrame(); err != io.EOF {
-		t.Fatalf("want EOF from the old server's bye, got %v", err)
-	}
-}
-
-// TestRejectIsFinal: a typed Reject must not trigger the downgrade redial —
-// the server understood the hello and said no.
+// TestRejectIsFinal: a typed Reject surfaces as *stream.RejectedError after
+// a single dial — the server understood the hello and said no.
 func TestRejectIsFinal(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

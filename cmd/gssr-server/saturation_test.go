@@ -141,6 +141,7 @@ func runSaturation(t testing.TB, cfg satConfig, iterPerMs int) satResult {
 		Accept:       stream.Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		MaxSessions:  cfg.sessions,
 		Metrics:      reg,
+		IdleTimeout:  -1, // harness clients do not heartbeat
 		FlightFrames: 128,
 		FlightRetain: cfg.sessions,
 		Deadline:     cfg.deadline,

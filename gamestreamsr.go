@@ -256,7 +256,9 @@ func LPIPS(a, b *Image) (float64, error) { return metrics.LPIPSProxy(a, b) }
 type (
 	// StreamServer serves concurrent client sessions over TCP.
 	StreamServer = stream.MultiServer
-	// StreamClient is the client session endpoint.
+	// StreamClient is the client session endpoint. A StreamServer reaps a
+	// session whose client sends nothing for its IdleTimeout (default
+	// 6 s), so a long-lived session must call SendPing periodically.
 	StreamClient = stream.Client
 	// StreamHello is the client's capability announcement (Fig. 6 ❶).
 	StreamHello = stream.Hello

@@ -1,7 +1,8 @@
 package render
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gamestreamsr/internal/geom"
 )
@@ -83,8 +84,10 @@ func (b *bvh) build(items []buildItem) int {
 	} else if ext.Z > ext.X && ext.Z > ext.Y {
 		axis = 2
 	}
-	sort.Slice(items, func(i, j int) bool {
-		return axisOf(items[i].center, axis) < axisOf(items[j].center, axis)
+	// slices.SortFunc, not sort.Slice: the build runs every frame, and
+	// sort.Slice allocates a reflect swapper plus a closure per split.
+	slices.SortFunc(items, func(a, b buildItem) int {
+		return cmp.Compare(axisOf(a.center, axis), axisOf(b.center, axis))
 	})
 	mid := len(items) / 2
 

@@ -12,7 +12,7 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
-// Liveness defaults (protocol v4, DESIGN.md §15).
+// Liveness defaults (DESIGN.md §15).
 const (
 	// DefaultControlTimeout bounds small control-message writes (rejects,
 	// byes, pongs): a peer that never reads must not wedge the goroutine.
@@ -20,7 +20,7 @@ const (
 	// DefaultPingInterval is the client heartbeat cadence.
 	DefaultPingInterval = 2 * time.Second
 	// DefaultIdleTimeout is the server's read-liveness bound: three missed
-	// ping intervals. A v4 session silent for this long is reaped as dead —
+	// ping intervals. A session silent for this long is reaped as dead —
 	// slower peers stay on the shed/eviction ladders, which handle slow;
 	// the reaper handles gone.
 	DefaultIdleTimeout = 3 * DefaultPingInterval
@@ -58,7 +58,7 @@ func controlWrite(conn io.Writer, m *telemetry.Registry, lg *logx.Logger, timeou
 	return err
 }
 
-// newResumeToken mints the opaque token a v4 Accept carries: long enough
+// newResumeToken mints the opaque token an Accept carries: long enough
 // that a reclaim cannot be guessed, short enough for the wire's 255-byte
 // token bound.
 func newResumeToken() string {

@@ -12,27 +12,26 @@ import (
 // FuzzReadMsg drives the wire-format parser with arbitrary bytes; the
 // invariant is no panic and a well-formed message on success.
 func FuzzReadMsg(f *testing.F) {
-	var hello, helloV2, helloV3, helloV4, accept, acceptV2, acceptV4, fr, frExt, input, st, sub, rejRA, ping, pong, bye bytes.Buffer
-	WriteHello(&hello, Hello{Device: "seed", RoIWindow: 300, Scale: 2})
-	WriteHello(&helloV2, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolV2, SendUnixMicro: 1700000000000000})
-	WriteHello(&helloV3, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolV3, SendUnixMicro: 1700000000000000, Channel: "arena"})
-	WriteHello(&helloV4, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolV4, SendUnixMicro: 1700000000000000, Channel: "arena", ResumeToken: "aabbccdd"})
-	WriteAccept(&accept, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6})
-	WriteAccept(&acceptV2, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6, Version: ProtocolV2, RecvUnixMicro: 1, SendUnixMicro: 2})
-	WriteAccept(&acceptV4, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6, Version: ProtocolV4, RecvUnixMicro: 1, SendUnixMicro: 2, Token: "aabbccdd"})
-	WriteFrame(&fr, FramePacket{Index: 7, Keyenc: true, RoI: frame.Rect{X: 1, Y: 2, W: 3, H: 4}, Payload: []byte("data")})
-	WriteFrame(&frExt, FramePacket{Index: 7, FlightID: 8, SendUnixMicro: 1700000000000000, Payload: []byte("data")})
+	var hello, helloBare, helloNewer, helloPreMagic, accept, acceptBare, fr, frBare, input, st, sub, rej, rejBadHello, ping, pong, bye bytes.Buffer
+	WriteHello(&hello, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolVersion, SendUnixMicro: 1700000000000000, Channel: "arena", ResumeToken: "aabbccdd"})
+	WriteHello(&helloBare, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolVersion})
+	WriteHello(&helloNewer, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolVersion + 1})
+	writeMsg(&helloPreMagic, MsgHello, []byte{4, 's', 'e', 'e', 'd', 0xAC, 0x02, 2, 4, 0, 0, 0}) // a v1–v4-era hello
+	WriteAccept(&accept, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6, Version: ProtocolVersion, RecvUnixMicro: 1, SendUnixMicro: 2, Token: "aabbccdd"})
+	WriteAccept(&acceptBare, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6, Version: ProtocolVersion})
+	WriteFrame(&fr, FramePacket{Index: 7, Keyenc: true, FlightID: 8, SendUnixMicro: 1700000000000000, RoI: frame.Rect{X: 1, Y: 2, W: 3, H: 4}, Payload: []byte("data")})
+	WriteFrame(&frBare, FramePacket{})
 	WriteInput(&input, InputPacket{Seq: 9, Payload: []byte("in")})
 	WriteStats(&st, StatsPacket{Seq: 1, WindowFrames: 60, AgeP99: 20 * time.Millisecond})
-	WriteSubscribe(&sub, Subscribe{Channel: "arena", Device: "seed", Version: ProtocolV3, SendUnixMicro: 1700000000000000})
-	WriteReject(&rejRA, Reject{Code: RejectBusy, Reason: "busy", RetryAfterMs: 2000})
+	WriteSubscribe(&sub, Subscribe{Channel: "arena", Device: "seed", Version: ProtocolVersion, SendUnixMicro: 1700000000000000})
+	WriteReject(&rej, Reject{Code: RejectBusy, Reason: "busy", RetryAfterMs: 2000})
+	WriteReject(&rejBadHello, Reject{Code: RejectBadHello, Reason: "protocol version mismatch: client v4, server v5"})
 	WritePing(&ping, PingPacket{Seq: 3, SendUnixMicro: 1700000000000000})
 	WritePong(&pong, PongPacket{Seq: 3, EchoUnixMicro: 1700000000000000})
 	WriteBye(&bye)
-	for _, b := range [][]byte{hello.Bytes(), helloV2.Bytes(), helloV3.Bytes(), helloV4.Bytes(),
-		accept.Bytes(), acceptV2.Bytes(), acceptV4.Bytes(),
-		fr.Bytes(), frExt.Bytes(), input.Bytes(), st.Bytes(), sub.Bytes(), rejRA.Bytes(),
-		ping.Bytes(), pong.Bytes(), bye.Bytes(), {}, {0xFF}} {
+	for _, b := range [][]byte{hello.Bytes(), helloBare.Bytes(), helloNewer.Bytes(), helloPreMagic.Bytes(),
+		accept.Bytes(), acceptBare.Bytes(), fr.Bytes(), frBare.Bytes(), input.Bytes(), st.Bytes(),
+		sub.Bytes(), rej.Bytes(), rejBadHello.Bytes(), ping.Bytes(), pong.Bytes(), bye.Bytes(), {}, {0xFF}} {
 		f.Add(b)
 	}
 
@@ -87,10 +86,10 @@ func FuzzReadMsg(f *testing.F) {
 
 // --- Round-trip fuzz + property tests ----------------------------------------
 //
-// Every message type must decode back to what was encoded (after
-// normalisation: version-gated fields drop below v2, timestamps clamp at 0,
-// durations truncate to the wire's µs granularity) and re-encode to
-// identical bytes — the canonical-form property interop leans on.
+// Every message type must decode back to exactly what was encoded and
+// re-encode to identical bytes. The helpers first bring their input into
+// the wire's domain (positive geometry, non-negative timestamps, whole-µs
+// durations, ≤255-byte strings, ProtocolVersion).
 
 // roundTrip encodes with enc, decodes via ReadMsg, asserts the decoded
 // message re-encodes byte-identically, and returns it.
@@ -143,37 +142,24 @@ func helloRoundTrip(t *testing.T, h Hello) {
 		h.ResumeToken = h.ResumeToken[:255]
 	}
 	h.RoIWindow, h.Scale = sanitizePos(h.RoIWindow), sanitizePos(h.Scale)
-	h.Version = sanitizeNonNeg(h.Version)
-	want := h
-	if h.Version < ProtocolV2 {
-		want.Version, want.SendUnixMicro = 0, 0
-	} else if want.SendUnixMicro < 0 {
-		want.SendUnixMicro = 0
-	}
-	if h.Version < ProtocolV3 {
-		// The channel field only exists on the v3 wire.
-		want.Channel = ""
-	}
-	if h.Version < ProtocolV4 {
-		// The resume token only exists on the v4 wire.
-		want.ResumeToken = ""
-	}
+	h.Version = ProtocolVersion
+	h.SendUnixMicro = max(h.SendUnixMicro, 0)
 	msg := roundTrip(t,
 		func(b *bytes.Buffer) error { return WriteHello(b, h) },
 		func(b *bytes.Buffer, m *Msg) error { return WriteHello(b, *m.Hello) })
-	if *msg.Hello != want {
-		t.Fatalf("hello = %+v, want %+v", *msg.Hello, want)
+	if *msg.Hello != h {
+		t.Fatalf("hello = %+v, want %+v", *msg.Hello, h)
 	}
 }
 
 func FuzzHelloRoundTrip(f *testing.F) {
-	f.Add("s8", 64, 2, 2, int64(1700000000000000), "", "")
-	f.Add("", 1, 1, 0, int64(0), "", "")
-	f.Add("pixel", 300, 4, 7, int64(-5), "arena", "deadbeefcafe")
-	f.Add("s8", 64, 2, 3, int64(1700000000000000), "lobby/2", "")
-	f.Add("s8", 64, 2, 4, int64(1700000000000000), "arena", "00112233445566778899aabb")
-	f.Fuzz(func(t *testing.T, dev string, roi, scale, ver int, sendUS int64, channel, token string) {
-		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, Version: ver, SendUnixMicro: sendUS, Channel: channel, ResumeToken: token})
+	f.Add("s8", 64, 2, int64(1700000000000000), "", "")
+	f.Add("", 1, 1, int64(0), "", "")
+	f.Add("pixel", 300, 4, int64(-5), "arena", "deadbeefcafe")
+	f.Add("s8", 64, 2, int64(1700000000000000), "lobby/2", "")
+	f.Add("s8", 64, 2, int64(1700000000000000), "arena", "00112233445566778899aabb")
+	f.Fuzz(func(t *testing.T, dev string, roi, scale int, sendUS int64, channel, token string) {
+		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, SendUnixMicro: sendUS, Channel: channel, ResumeToken: token})
 	})
 }
 
@@ -187,78 +173,64 @@ func subscribeRoundTrip(t *testing.T, sub Subscribe) {
 	if len(sub.Device) > 255 {
 		sub.Device = sub.Device[:255]
 	}
-	sub.Version = sanitizeNonNeg(sub.Version)
-	want := sub
-	want.SendUnixMicro = max(want.SendUnixMicro, 0)
+	sub.Version = ProtocolVersion
+	sub.SendUnixMicro = max(sub.SendUnixMicro, 0)
 	msg := roundTrip(t,
 		func(b *bytes.Buffer) error { return WriteSubscribe(b, sub) },
 		func(b *bytes.Buffer, m *Msg) error { return WriteSubscribe(b, *m.Subscribe) })
-	if *msg.Subscribe != want {
-		t.Fatalf("subscribe = %+v, want %+v", *msg.Subscribe, want)
+	if *msg.Subscribe != sub {
+		t.Fatalf("subscribe = %+v, want %+v", *msg.Subscribe, sub)
 	}
 }
 
 func FuzzSubscribeRoundTrip(f *testing.F) {
-	f.Add("arena", "s8", 3, int64(1700000000000000))
-	f.Add("c", "", 0, int64(0))
-	f.Add("lobby/2", "pixel", 9, int64(-4))
-	f.Fuzz(func(t *testing.T, channel, dev string, ver int, sendUS int64) {
-		subscribeRoundTrip(t, Subscribe{Channel: channel, Device: dev, Version: ver, SendUnixMicro: sendUS})
+	f.Add("arena", "s8", int64(1700000000000000))
+	f.Add("c", "", int64(0))
+	f.Add("lobby/2", "pixel", int64(-4))
+	f.Fuzz(func(t *testing.T, channel, dev string, sendUS int64) {
+		subscribeRoundTrip(t, Subscribe{Channel: channel, Device: dev, SendUnixMicro: sendUS})
 	})
 }
 
 func acceptRoundTrip(t *testing.T, a Accept) {
 	a.Width, a.Height = sanitizePos(a.Width), sanitizePos(a.Height)
 	a.GOPSize, a.QStep = sanitizePos(a.GOPSize), sanitizePos(a.QStep)
-	a.Version = sanitizeNonNeg(a.Version)
+	a.Version = ProtocolVersion
+	a.RecvUnixMicro = max(a.RecvUnixMicro, 0)
+	a.SendUnixMicro = max(a.SendUnixMicro, 0)
 	if len(a.Token) > 255 {
 		a.Token = a.Token[:255]
-	}
-	want := a
-	if a.Version < ProtocolV2 {
-		want.Version, want.RecvUnixMicro, want.SendUnixMicro = 0, 0, 0
-	} else {
-		want.RecvUnixMicro = max(want.RecvUnixMicro, 0)
-		want.SendUnixMicro = max(want.SendUnixMicro, 0)
-	}
-	if a.Version < ProtocolV4 {
-		// The resume token only exists on the v4 wire.
-		want.Token = ""
 	}
 	msg := roundTrip(t,
 		func(b *bytes.Buffer) error { return WriteAccept(b, a) },
 		func(b *bytes.Buffer, m *Msg) error { return WriteAccept(b, *m.Accept) })
-	if *msg.Accept != want {
-		t.Fatalf("accept = %+v, want %+v", *msg.Accept, want)
+	if *msg.Accept != a {
+		t.Fatalf("accept = %+v, want %+v", *msg.Accept, a)
 	}
 }
 
 func FuzzAcceptRoundTrip(f *testing.F) {
-	f.Add(1280, 720, 60, 6, 2, int64(10), int64(20), "")
-	f.Add(1, 1, 1, 1, 0, int64(0), int64(0), "")
-	f.Add(1280, 720, 60, 6, 4, int64(10), int64(20), "deadbeefcafe")
-	f.Fuzz(func(t *testing.T, w, h, gop, q, ver int, recvUS, sendUS int64, token string) {
-		acceptRoundTrip(t, Accept{Width: w, Height: h, GOPSize: gop, QStep: q, Version: ver, RecvUnixMicro: recvUS, SendUnixMicro: sendUS, Token: token})
+	f.Add(1280, 720, 60, 6, int64(10), int64(20), "")
+	f.Add(1, 1, 1, 1, int64(0), int64(0), "")
+	f.Add(1280, 720, 60, 6, int64(10), int64(20), "deadbeefcafe")
+	f.Fuzz(func(t *testing.T, w, h, gop, q int, recvUS, sendUS int64, token string) {
+		acceptRoundTrip(t, Accept{Width: w, Height: h, GOPSize: gop, QStep: q, RecvUnixMicro: recvUS, SendUnixMicro: sendUS, Token: token})
 	})
 }
 
 func frameRoundTrip(t *testing.T, p FramePacket) {
 	p.RoI = frame.Rect{X: sanitizeNonNeg(p.RoI.X), Y: sanitizeNonNeg(p.RoI.Y), W: sanitizeNonNeg(p.RoI.W), H: sanitizeNonNeg(p.RoI.H)}
-	// A negative timestamp would flip the extension bit on encode but clamp
-	// to an unextended-looking packet on decode; the writer API contract is
-	// "0 means absent", so normalise before encoding.
 	p.SendUnixMicro = max(p.SendUnixMicro, 0)
-	want := p
 	msg := roundTrip(t,
 		func(b *bytes.Buffer) error { return WriteFrame(b, p) },
 		func(b *bytes.Buffer, m *Msg) error { return WriteFrame(b, *m.Frame) })
 	got := *msg.Frame
-	if !bytes.Equal(got.Payload, want.Payload) {
-		t.Fatalf("payload = %q, want %q", got.Payload, want.Payload)
+	if !bytes.Equal(got.Payload, p.Payload) {
+		t.Fatalf("payload = %q, want %q", got.Payload, p.Payload)
 	}
-	if got.Index != want.Index || got.Keyenc != want.Keyenc || got.FlightID != want.FlightID ||
-		got.SendUnixMicro != want.SendUnixMicro || got.RoI != want.RoI {
-		t.Fatalf("frame = %+v, want %+v", got, want)
+	if got.Index != p.Index || got.Keyenc != p.Keyenc || got.FlightID != p.FlightID ||
+		got.SendUnixMicro != p.SendUnixMicro || got.RoI != p.RoI {
+		t.Fatalf("frame = %+v, want %+v", got, p)
 	}
 }
 
@@ -376,20 +348,20 @@ func FuzzPingPongRoundTrip(f *testing.F) {
 // testing/quick's generator — the property-test complement to the fuzz
 // corpus, run on every plain `go test`.
 func TestWireProperties(t *testing.T) {
-	if err := quick.Check(func(dev string, roi, scale, ver int, sendUS int64, channel, token string) bool {
-		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, Version: ver, SendUnixMicro: sendUS, Channel: channel, ResumeToken: token})
+	if err := quick.Check(func(dev string, roi, scale int, sendUS int64, channel, token string) bool {
+		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, SendUnixMicro: sendUS, Channel: channel, ResumeToken: token})
 		return !t.Failed()
 	}, nil); err != nil {
 		t.Error(err)
 	}
-	if err := quick.Check(func(channel, dev string, ver int, sendUS int64) bool {
-		subscribeRoundTrip(t, Subscribe{Channel: channel, Device: dev, Version: ver, SendUnixMicro: sendUS})
+	if err := quick.Check(func(channel, dev string, sendUS int64) bool {
+		subscribeRoundTrip(t, Subscribe{Channel: channel, Device: dev, SendUnixMicro: sendUS})
 		return !t.Failed()
 	}, nil); err != nil {
 		t.Error(err)
 	}
-	if err := quick.Check(func(w, h, gop, q, ver int, recvUS, sendUS int64, token string) bool {
-		acceptRoundTrip(t, Accept{Width: w, Height: h, GOPSize: gop, QStep: q, Version: ver, RecvUnixMicro: recvUS, SendUnixMicro: sendUS, Token: token})
+	if err := quick.Check(func(w, h, gop, q int, recvUS, sendUS int64, token string) bool {
+		acceptRoundTrip(t, Accept{Width: w, Height: h, GOPSize: gop, QStep: q, RecvUnixMicro: recvUS, SendUnixMicro: sendUS, Token: token})
 		return !t.Failed()
 	}, nil); err != nil {
 		t.Error(err)

@@ -83,7 +83,7 @@ type Relay struct {
 
 // SetParkGrace sets how long a publisher-dropped channel stays parked
 // awaiting a resume-token reclaim (<= 0 disables parking: a dropped
-// publisher closes its channel immediately, the pre-v4 behaviour).
+// publisher closes its channel immediately).
 func (r *Relay) SetParkGrace(d time.Duration) { r.grace = d }
 
 // NewRelay builds a relay. maxSubs bounds subscribers per channel

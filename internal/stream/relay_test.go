@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -43,15 +44,27 @@ func (g *gatedSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
 }
 
 // publishClient dials addr and opens a publisher session on channel ch,
-// returning the connected client. The caller drains frames.
+// returning the connected client. The caller drains frames. It returns
+// once frame 0 is on the wire: the server publishes each frame to the relay
+// before writing it, so the channel's keyframe cache is filled and every
+// spectator attached afterwards is a late joiner. Without the wait, a
+// spectator could attach before frame 0 reached the relay.
 func publishClient(t *testing.T, addr, ch string) (*Client, net.Conn) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn)
+	br := bufio.NewReader(conn)
+	c := NewClient(struct {
+		io.Reader
+		io.Writer
+	}{br, conn})
 	if _, err := c.Handshake(Hello{Device: "pub", RoIWindow: 8, Scale: 2, Version: ProtocolVersion, Channel: ch}); err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	if _, err := br.Peek(1); err != nil {
 		conn.Close()
 		t.Fatal(err)
 	}

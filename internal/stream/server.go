@@ -175,11 +175,11 @@ type MultiServer struct {
 	// dropped to the next keyframe; one that stays stalled for a further
 	// GOP is disconnected.
 	SubscriberQueue int
-	// IdleTimeout is the v4 read-liveness bound: a session (publisher or
+	// IdleTimeout is the read-liveness bound: a session (publisher or
 	// spectator) that sends nothing — not even a heartbeat — for this long
-	// is reaped as dead. The reaper only fires on v4+ sessions (older
-	// clients never ping); slow-but-alive peers stay on the shed and
-	// eviction ladders. 0 picks DefaultIdleTimeout; negative disables.
+	// is reaped as dead, so clients must heartbeat (Client.SendPing);
+	// slow-but-alive peers stay on the shed and eviction ladders. 0 picks
+	// DefaultIdleTimeout; negative disables.
 	IdleTimeout time.Duration
 	// ParkGrace is how long a channel whose publisher dropped uncleanly
 	// stays parked awaiting a resume-token reclaim before it closes and
@@ -381,7 +381,8 @@ func (s *MultiServer) Serve(l net.Listener) error {
 }
 
 // handleConn reads a connection's first message and dispatches: Hello →
-// publisher session, Subscribe → spectator session, anything else → close.
+// publisher session, Subscribe → spectator session, another protocol
+// version → RejectBadHello, anything else → close.
 func (s *MultiServer) handleConn(conn net.Conn) {
 	msg, err := ReadMsg(conn)
 	tFirst := time.Now() // T1 of the client's Cristian offset estimate
@@ -389,6 +390,12 @@ func (s *MultiServer) handleConn(conn net.Conn) {
 	delete(s.pending, conn)
 	closed := s.closed
 	s.mu.Unlock()
+	if rej, ok := versionReject(err); ok && !closed {
+		s.ctrs.rejected.Inc()
+		s.Log.Warn("stream: rejecting session: bad hello", "session", conn.RemoteAddr().String(), "reason", rej.Reason)
+		s.rejectConn(conn, rej)
+		return
+	}
 	if err != nil || closed {
 		conn.Close()
 		return
@@ -405,7 +412,7 @@ func (s *MultiServer) handleConn(conn net.Conn) {
 	}
 }
 
-// busyRetryAfter is the server-suggested redial delay carried in v4
+// busyRetryAfter is the server-suggested redial delay carried in
 // capacity/busy rejects: long enough for a session to drain or the SLO
 // window to recover, short enough that a waiting client feels responsive.
 const busyRetryAfter = 2 * time.Second
@@ -414,13 +421,9 @@ const busyRetryAfter = 2 * time.Second
 // caller has already read the client's opening message, so the reject is
 // the only unread data in flight when the connection closes. The write is
 // bounded (controlWrite) so a peer that never reads cannot wedge the
-// goroutine; ver gates the v4 retry-after field — a pre-v4 parser treats
-// trailing bytes as a protocol error.
-func (s *MultiServer) rejectConn(conn net.Conn, ver int, rej Reject) {
+// goroutine.
+func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) {
 	defer conn.Close()
-	if ver < ProtocolV4 {
-		rej.RetryAfterMs = 0
-	}
 	controlWrite(conn, s.Metrics, s.Log, s.ControlTimeout, conn.RemoteAddr().String(), "reject", func() error {
 		return WriteReject(conn, rej)
 	})
@@ -429,15 +432,14 @@ func (s *MultiServer) rejectConn(conn net.Conn, ver int, rej Reject) {
 // servePublisher runs a game (publisher) session whose Hello has been
 // read: session cap, admission control, optional channel registration (or
 // a resume-token reclaim of a parked one), then the frame loop with the
-// relay tap attached. A v4 publisher that drops uncleanly parks its
-// channel for the grace window instead of closing it.
+// relay tap attached. A publisher that drops uncleanly parks its channel
+// for the grace window instead of closing it.
 func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Time) {
 	max := s.MaxSessions
 	if max <= 0 {
 		max = 16
 	}
 	sess := &session{remote: conn.RemoteAddr().String()}
-	ver := NegotiateVersion(hello.Version)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -453,7 +455,7 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 		s.ctrs.rejected.Inc()
 		s.ctrs.rejectedCap.Inc()
 		s.Log.Warn("stream: rejecting session: capacity", "session", sess.remote, "limit", max)
-		s.rejectConn(conn, ver, Reject{
+		s.rejectConn(conn, Reject{
 			Code:         RejectCapacity,
 			Reason:       fmt.Sprintf("session limit %d reached", max),
 			RetryAfterMs: uint32(busyRetryAfter.Milliseconds()),
@@ -476,7 +478,7 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 			// SLO — exactly the moment a postmortem bundle is worth freezing.
 			s.Diag.Trigger("admission_reject",
 				"session", sess.remote, "p99", p99, "samples", samples, "deadline", deadline)
-			s.rejectConn(conn, ver, Reject{
+			s.rejectConn(conn, Reject{
 				Code:         RejectBusy,
 				Reason:       fmt.Sprintf("no SLO headroom: p99 %v", p99.Round(time.Microsecond)),
 				RetryAfterMs: uint32(busyRetryAfter.Milliseconds()),
@@ -484,31 +486,28 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 			return
 		}
 	}
-	// v4 sessions get a resume token: a reconnecting client replays it to
-	// keep its identity (flight records, per-session metrics) and to
+	// Every session gets a resume token: a reconnecting client replays it
+	// to keep its identity (flight records, per-session metrics) and to
 	// reclaim a parked channel. A replayed token is re-issued unchanged so
 	// the identity stays stable across any number of drops.
-	var token string
+	token := hello.ResumeToken
 	identity := sess.remote
-	if ver >= ProtocolV4 {
-		token = hello.ResumeToken
-		if token != "" {
-			if orig, ok := s.resumeIdentity(token); ok {
-				identity = orig
-				s.Log.Info("stream: session resumed", "remote", sess.remote, "session", identity)
-			}
-		} else {
-			token = newResumeToken()
+	if token != "" {
+		if orig, ok := s.resumeIdentity(token); ok {
+			identity = orig
+			s.Log.Info("stream: session resumed", "remote", sess.remote, "session", identity)
 		}
-		s.recordResume(token, identity)
+	} else {
+		token = newResumeToken()
 	}
+	s.recordResume(token, identity)
 	// A hello naming a channel registers this session as its publisher.
 	// With a resume token, a parked channel is reclaimed — spectators ride
 	// through — otherwise the name must be free.
 	var ch *Channel
 	if hello.Channel != "" {
 		resumed := false
-		if hello.ResumeToken != "" && ver >= ProtocolV4 {
+		if hello.ResumeToken != "" {
 			if got, err := s.relay.Reclaim(hello.Channel, hello.ResumeToken); err == nil {
 				ch = got
 				resumed = true
@@ -525,7 +524,7 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 				s.ctrs.rejected.Inc()
 				s.Log.Warn("stream: rejecting session: channel unavailable",
 					"session", sess.remote, "channel", hello.Channel, "err", err)
-				s.rejectConn(conn, ver, Reject{
+				s.rejectConn(conn, Reject{
 					Code:   RejectChannelTaken,
 					Reason: fmt.Sprintf("channel %q already has a publisher", hello.Channel),
 				})
@@ -548,16 +547,11 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 	var sessErr error
 	defer func() {
 		if ch != nil {
-			// An unclean v4 publisher drop parks the channel for the grace
+			// An unclean publisher drop parks the channel for the grace
 			// window — registry entry, cached keyframe and subscribers all
-			// retained, awaiting a resume-token reclaim. A clean end (or a
-			// pre-v4 client, which can never reclaim) drains gracefully:
-			// subscribers get their queued tail, then a Bye.
-			parked := false
-			if sessErr != nil && ver >= ProtocolV4 {
-				parked = ch.park()
-			}
-			if parked {
+			// retained, awaiting a resume-token reclaim. A clean end drains
+			// gracefully: subscribers get their queued tail, then a Bye.
+			if sessErr != nil && ch.park() {
 				s.Log.Warn("stream: channel parked after publisher dropped",
 					"channel", ch.Name(), "session", sess.remote, "err", sessErr)
 			} else {
@@ -721,7 +715,6 @@ const subscriberWriteTimeout = 10 * time.Second
 // the subscriber leaves, falls too far behind, or the channel closes.
 func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Time) {
 	remote := conn.RemoteAddr().String()
-	ver := NegotiateVersion(sub.Version)
 	var ch *Channel
 	if s.relay != nil {
 		ch = s.relay.Lookup(sub.Channel)
@@ -729,7 +722,7 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 	if ch == nil {
 		s.ctrs.subsRejected.Inc()
 		s.Log.Warn("stream: rejecting spectator: unknown channel", "session", remote, "channel", sub.Channel)
-		s.rejectConn(conn, ver, Reject{Code: RejectUnknownChannel, Reason: fmt.Sprintf("no publisher on channel %q", sub.Channel)})
+		s.rejectConn(conn, Reject{Code: RejectUnknownChannel, Reason: fmt.Sprintf("no publisher on channel %q", sub.Channel)})
 		return
 	}
 	subr, err := ch.Subscribe(remote)
@@ -741,18 +734,14 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 			rej.Code = RejectCapacity
 			rej.RetryAfterMs = uint32(busyRetryAfter.Milliseconds())
 		}
-		s.rejectConn(conn, ver, rej)
+		s.rejectConn(conn, rej)
 		return
 	}
 	defer ch.detach(subr)
 	acc := ch.Accept()
-	if ver >= ProtocolV2 {
-		acc.Version = ver
-		acc.RecvUnixMicro = tSub.UnixMicro()
-		acc.SendUnixMicro = time.Now().UnixMicro()
-	} else {
-		acc.Version, acc.RecvUnixMicro, acc.SendUnixMicro = 0, 0, 0
-	}
+	acc.Version = ProtocolVersion
+	acc.RecvUnixMicro = tSub.UnixMicro()
+	acc.SendUnixMicro = time.Now().UnixMicro()
 	conn.SetWriteDeadline(time.Now().Add(subscriberWriteTimeout))
 	if err := WriteAccept(conn, acc); err != nil {
 		conn.Close()
@@ -760,7 +749,7 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 	}
 	conn.SetWriteDeadline(time.Time{})
 	s.ctrs.subsAccepted.Inc()
-	s.Log.Info("stream: spectator attached", "session", remote, "channel", sub.Channel, "protocol", ver)
+	s.Log.Info("stream: spectator attached", "session", remote, "channel", sub.Channel)
 	// Label the writer goroutine (and the read goroutine spawned below) so
 	// relay fan-out CPU shows up against the spectator's identity.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
@@ -783,14 +772,13 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 
 	// Read loop: spectators send no input that matters, but their Stats
 	// backchannel, heartbeats and Bye do. Reading also detects disconnects
-	// promptly, and on v4 sessions the idle deadline reaps a blackholed
-	// spectator — the eviction ladder handles slow readers, the reaper
-	// handles gone ones. sendMu serializes pong replies against the frame
+	// promptly, and the idle deadline reaps a blackholed spectator — the
+	// eviction ladder handles slow readers, the reaper handles gone ones. sendMu serializes pong replies against the frame
 	// writer (a message is two socket Writes that must not interleave).
 	var clientBye atomic.Bool
 	var sendMu sync.Mutex
 	idle := s.idleTimeout()
-	liveness := ver >= ProtocolV4 && idle > 0
+	liveness := idle > 0
 	readDone := make(chan struct{})
 	go func() {
 		defer close(readDone)
@@ -842,12 +830,7 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 			break
 		}
 		pkt := rf.pkt
-		if ver >= ProtocolV2 {
-			pkt.SendUnixMicro = time.Now().UnixMicro()
-		} else {
-			pkt.FlightID = 0
-			pkt.SendUnixMicro = 0
-		}
+		pkt.SendUnixMicro = time.Now().UnixMicro()
 		// Adopt the publisher's flight ID so gssr trace -merge correlates a
 		// spectator's copy of frame N with the publisher's encode of it.
 		fid := rec.BeginFrameAt(pkt.FlightID, int(pkt.Index))

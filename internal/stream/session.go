@@ -35,8 +35,8 @@ type ServerOptions struct {
 	// OnInput, if non-nil, receives client input events.
 	OnInput func(InputPacket)
 	// OnStats, if non-nil, receives the client's periodic telemetry
-	// backchannel reports (v2 sessions only; see StatsPacket). Called from
-	// the session's read goroutine — keep it fast.
+	// backchannel reports (see StatsPacket). Called from the session's read
+	// goroutine — keep it fast.
 	OnStats func(StatsPacket)
 	// Validate, if non-nil, vets the client's Hello before accepting.
 	Validate func(Hello) error
@@ -59,16 +59,15 @@ type ServerOptions struct {
 	SlowSend time.Duration
 	// Remote tags this session's log lines (typically the client address).
 	Remote string
-	// ResumeToken, when non-empty, rides in the Accept of v4+ sessions: the
-	// opaque handle a reconnecting client replays in its Hello to be
-	// correlated with (and, for publishers, reclaim the parked channel of)
-	// this session.
+	// ResumeToken, when non-empty, rides in the Accept: the opaque handle a
+	// reconnecting client replays in its Hello to be correlated with (and,
+	// for publishers, reclaim the parked channel of) this session.
 	ResumeToken string
-	// IdleTimeout, when > 0, arms read-side liveness on v4+ sessions: the
-	// client heartbeats (MsgPing), the session pongs, and a connection that
-	// stays silent past the timeout is reaped as dead (the connection is
-	// closed, unblocking the frame writer). Pre-v4 clients never ping, so
-	// the deadline is only armed when the negotiated version is v4+.
+	// IdleTimeout, when > 0, arms read-side liveness: the client heartbeats
+	// (MsgPing), the session pongs, and a connection that stays silent past
+	// the timeout is reaped as dead (the connection is closed, unblocking
+	// the frame writer). Clients that stream for longer than the timeout
+	// must call Client.SendPing.
 	IdleTimeout time.Duration
 	// ControlTimeout bounds small control writes (reject, bye, pong);
 	// <= 0 picks DefaultControlTimeout.
@@ -110,6 +109,11 @@ func Serve(conn io.ReadWriter, opt ServerOptions) error {
 	}
 	msg, err := ReadMsg(conn)
 	tHello := time.Now() // T1 of the client's Cristian offset estimate
+	if rej, ok := versionReject(err); ok {
+		controlWrite(conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "reject", func() error {
+			return WriteReject(conn, rej)
+		})
+	}
 	if err != nil {
 		return fmt.Errorf("stream: reading hello: %w", err)
 	}
@@ -137,22 +141,11 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 			return fmt.Errorf("stream: rejecting client: %w", err)
 		}
 	}
-	// Version negotiation: min of what both sides speak. A v1 client gets
-	// an Accept (and frames) in the original unversioned encoding.
-	ver := NegotiateVersion(hello.Version)
 	acc := opt.Accept
-	if ver >= ProtocolV2 {
-		acc.Version = ver
-		acc.RecvUnixMicro = tHello.UnixMicro()
-		acc.SendUnixMicro = time.Now().UnixMicro()
-	} else {
-		acc.Version, acc.RecvUnixMicro, acc.SendUnixMicro = 0, 0, 0
-	}
-	if ver >= ProtocolV4 {
-		acc.Token = opt.ResumeToken
-	} else {
-		acc.Token = ""
-	}
+	acc.Version = ProtocolVersion
+	acc.RecvUnixMicro = tHello.UnixMicro()
+	acc.SendUnixMicro = time.Now().UnixMicro()
+	acc.Token = opt.ResumeToken
 	if err := WriteAccept(conn, acc); err != nil {
 		return fmt.Errorf("stream: writing accept: %w", err)
 	}
@@ -167,12 +160,12 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	var sendMu sync.Mutex
 	var wg sync.WaitGroup
 	stopRead := make(chan struct{})
-	// Read-side liveness (v4): the client heartbeats, so a silent
-	// connection is a dead one. The deadline is re-armed before every read;
-	// when it fires the session is reaped — the conn is closed, which also
-	// unblocks a frame writer stuck on a blackholed socket.
+	// Read-side liveness: the client heartbeats, so a silent connection is
+	// a dead one. The deadline is re-armed before every read; when it fires
+	// the session is reaped — the conn is closed, which also unblocks a
+	// frame writer stuck on a blackholed socket.
 	rd, canDeadline := conn.(interface{ SetReadDeadline(time.Time) error })
-	liveness := ver >= ProtocolV4 && opt.IdleTimeout > 0 && canDeadline
+	liveness := opt.IdleTimeout > 0 && canDeadline
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -252,19 +245,15 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 			sendErr = fmt.Errorf("stream: frame source: %w", err)
 			break
 		}
-		pkt := FramePacket{Index: uint32(i), Keyenc: key, RoI: roi, Payload: payload}
 		fid := opt.Flight.BeginFrame(i)
 		opt.Flight.SetEncode(fid, roi, len(payload), len(payload))
 		opt.Flight.Span(fid, "source", "source", tSrc, dSrc)
 		t0 := time.Now()
-		if ver >= ProtocolV2 {
-			// The frame's wire identity: the server's flight ID (the
-			// client recorder adopts it, so both dumps correlate) and the
-			// server clock at send, from which the client computes the
-			// clock-corrected end-to-end frame age.
-			pkt.FlightID = fid
-			pkt.SendUnixMicro = t0.UnixMicro()
-		}
+		// The frame's wire identity: the server's flight ID (the client
+		// recorder adopts it, so both dumps correlate) and the server clock
+		// at send, from which the client computes the clock-corrected
+		// end-to-end frame age.
+		pkt := FramePacket{Index: uint32(i), Keyenc: key, FlightID: fid, SendUnixMicro: t0.UnixMicro(), RoI: roi, Payload: payload}
 		if opt.Tap != nil {
 			// The relay fan-out point: subscribers see the exact packet the
 			// player gets (same index, flight ID, RoI), encoded once.
@@ -322,18 +311,23 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	return sendErr
 }
 
-// NegotiateVersion returns the protocol version a server session runs at
-// for a client that announced clientVer: the minimum of both sides, with 0
-// (an unversioned v1 hello) mapping to v1.
-func NegotiateVersion(clientVer int) int {
-	if clientVer < ProtocolV2 {
-		return ProtocolV1
+// versionReject maps a read error to the Reject a server answers it with:
+// a Hello or Subscribe from another protocol version (or without the
+// magic) gets RejectBadHello naming both versions. ok is false for every
+// other error.
+func versionReject(err error) (rej Reject, ok bool) {
+	var verr *versionError
+	if !errors.As(err, &verr) {
+		return Reject{}, false
 	}
-	return min(ProtocolVersion, clientVer)
+	return Reject{
+		Code:   RejectBadHello,
+		Reason: fmt.Sprintf("protocol version mismatch: client %s, server v%d", verr.peer(), ProtocolVersion),
+	}, true
 }
 
 // ClockSync is the client's Cristian-style estimate of the server clock,
-// taken from the v2 handshake's timestamp exchange: Offset estimates
+// taken from the handshake's timestamp exchange: Offset estimates
 // serverClock − clientClock, and the estimate's error is bounded by RTT/2
 // (the classic bound — the true offset lies within ±RTT/2 of the
 // estimate, since the request and reply legs split the round trip
@@ -344,21 +338,26 @@ type ClockSync struct {
 	// RTT is the handshake round trip minus the server's hold time — the
 	// network component only, which bounds the offset estimate's error.
 	RTT time.Duration
-	// Synced reports whether a v2 timestamp exchange happened (false on
-	// v1 sessions, where no correction is available).
+	// Synced reports whether the timestamp exchange happened (false
+	// before the handshake).
 	Synced bool
 }
 
 // ServerTime converts a server-clock timestamp (µs since the Unix epoch,
-// as carried by v2 FramePackets) into the client's clock.
+// as carried by FramePackets) into the client's clock.
 func (cs ClockSync) ServerTime(unixMicro int64) time.Time {
 	return time.UnixMicro(unixMicro).Add(-cs.Offset)
 }
 
 // Client is the Moonlight-analogue session endpoint. Its write methods
-// (SendInput, SendStats, Bye) are safe to call from different goroutines —
-// a shutdown path sending Bye must not interleave bytes with a stats
-// report in flight.
+// (SendInput, SendStats, SendPing, Bye) are safe to call from different
+// goroutines — a shutdown path sending Bye must not interleave bytes with a
+// stats report in flight.
+//
+// A server with read-side liveness (MultiServer by default, see
+// DefaultIdleTimeout) reaps a session whose client sends nothing for the
+// idle timeout, however steadily frames flow the other way. A long-lived
+// session must therefore call SendPing every DefaultPingInterval or so.
 type Client struct {
 	conn    io.ReadWriter
 	writeMu sync.Mutex
@@ -374,15 +373,18 @@ type Client struct {
 func NewClient(conn io.ReadWriter) *Client { return &Client{conn: conn} }
 
 // Handshake sends the Hello (the device's capability probe result) and
-// returns the server's stream geometry. When the Hello announces v2 or
-// later, the handshake also performs the clock exchange: the client's send
-// time rides in the Hello, the server's receive/send pair rides back in
-// the Accept, and the resulting offset + RTT estimate is available from
-// Clock.
+// returns the server's stream geometry. It fills in ProtocolVersion and
+// the send time when they are 0. The handshake also performs the clock
+// exchange: the client's send time rides in the Hello, the server's
+// receive/send pair rides back in the Accept, and the resulting offset +
+// RTT estimate is available from Clock. A server that refuses the session
+// (including for a protocol version mismatch) surfaces as *RejectedError.
 func (c *Client) Handshake(h Hello) (Accept, error) {
-	t0 := time.Now()
-	if h.Version >= ProtocolV2 && h.SendUnixMicro == 0 {
-		h.SendUnixMicro = t0.UnixMicro()
+	if h.Version == 0 {
+		h.Version = ProtocolVersion
+	}
+	if h.SendUnixMicro == 0 {
+		h.SendUnixMicro = time.Now().UnixMicro()
 	}
 	c.writeMu.Lock()
 	err := WriteHello(c.conn, h)
@@ -390,26 +392,21 @@ func (c *Client) Handshake(h Hello) (Accept, error) {
 	if err != nil {
 		return Accept{}, fmt.Errorf("stream: writing hello: %w", err)
 	}
-	sendUS := int64(0)
-	if h.Version >= ProtocolV2 {
-		sendUS = h.SendUnixMicro
-	}
-	return c.awaitAccept(sendUS)
+	return c.awaitAccept(h.SendUnixMicro)
 }
 
 // Subscribe attaches this client to an existing publish channel as a
-// spectator (v3): instead of a Hello opening a game session, the Subscribe
+// spectator: instead of a Hello opening a game session, the Subscribe
 // asks for the channel's cached geometry, the cached keyframe and the live
 // GOP tail. The timestamp exchange is the same as Handshake's, so
 // spectators get clock sync too. A missing channel comes back as a
 // RejectedError with code RejectUnknownChannel.
 func (c *Client) Subscribe(sub Subscribe) (Accept, error) {
-	t0 := time.Now()
 	if sub.Version == 0 {
 		sub.Version = ProtocolVersion
 	}
 	if sub.SendUnixMicro == 0 {
-		sub.SendUnixMicro = t0.UnixMicro()
+		sub.SendUnixMicro = time.Now().UnixMicro()
 	}
 	c.writeMu.Lock()
 	err := WriteSubscribe(c.conn, sub)
@@ -420,10 +417,10 @@ func (c *Client) Subscribe(sub Subscribe) (Accept, error) {
 	return c.awaitAccept(sub.SendUnixMicro)
 }
 
-// awaitAccept reads the server's Accept (or Reject) and stores the stream
-// geometry. When sendUS is non-zero (the client-clock send time of the
-// opening message) and the server answered with a v2+ clock pair, it also
-// completes the Cristian offset + RTT estimate.
+// awaitAccept reads the server's Accept (or Reject), stores the stream
+// geometry and completes the Cristian offset + RTT estimate from sendUS
+// (the client-clock send time of the opening message) and the Accept's
+// server clock pair.
 func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 	msg, err := ReadMsg(c.conn)
 	t3 := time.Now()
@@ -441,21 +438,16 @@ func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 		return Accept{}, fmt.Errorf("%w: expected accept, got %v", ErrProtocol, msg.Type)
 	}
 	c.cfg = *msg.Accept
-	if sendUS > 0 && c.cfg.Version >= ProtocolV2 && c.cfg.RecvUnixMicro > 0 {
-		// NTP-style two-sample estimate: T0/T3 on the client clock, T1/T2
-		// on the server's.
-		t1 := c.cfg.RecvUnixMicro
-		t2 := c.cfg.SendUnixMicro
-		offUS := ((t1 - sendUS) + (t2 - t3.UnixMicro())) / 2
-		rttUS := (t3.UnixMicro() - sendUS) - (t2 - t1)
-		if rttUS < 0 {
-			rttUS = 0
-		}
-		c.sync = ClockSync{
-			Offset: time.Duration(offUS) * time.Microsecond,
-			RTT:    time.Duration(rttUS) * time.Microsecond,
-			Synced: true,
-		}
+	// NTP-style two-sample estimate: T0/T3 on the client clock, T1/T2 on
+	// the server's.
+	t1 := c.cfg.RecvUnixMicro
+	t2 := c.cfg.SendUnixMicro
+	offUS := ((t1 - sendUS) + (t2 - t3.UnixMicro())) / 2
+	rttUS := max((t3.UnixMicro()-sendUS)-(t2-t1), 0)
+	c.sync = ClockSync{
+		Offset: time.Duration(offUS) * time.Microsecond,
+		RTT:    time.Duration(rttUS) * time.Microsecond,
+		Synced: true,
 	}
 	return c.cfg, nil
 }
@@ -463,8 +455,8 @@ func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 // Config returns the negotiated stream geometry (zero before Handshake).
 func (c *Client) Config() Accept { return c.cfg }
 
-// Clock returns the handshake's clock-sync estimate (Synced false on v1
-// sessions or before Handshake).
+// Clock returns the handshake's clock-sync estimate (Synced false before
+// Handshake).
 func (c *Client) Clock() ClockSync { return c.sync }
 
 // RecvFrame returns the next frame packet, or io.EOF after the server's
@@ -496,10 +488,9 @@ func (c *Client) RecvFrame() (FramePacket, error) {
 	}
 }
 
-// SendPing ships a liveness heartbeat (v4+ sessions): the server echoes the
-// timestamp in a Pong, which RecvFrame consumes into PingRTT. Callers gate
-// on Config().Version >= ProtocolV4 — a pre-v4 server stops reading its
-// input path at the first message it does not understand.
+// SendPing ships a liveness heartbeat: the server echoes the timestamp in a
+// Pong, which RecvFrame consumes into PingRTT. The heartbeat is also what
+// keeps a long-lived session from being reaped as idle (see Client).
 func (c *Client) SendPing() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -520,10 +511,7 @@ func (c *Client) SendInput(in InputPacket) error {
 	return WriteInput(c.conn, in)
 }
 
-// SendStats ships a telemetry backchannel report to the server. Only
-// meaningful on v2 sessions — a v1 server stops reading its input path at
-// the first message it does not understand, so callers should gate on
-// Config().Version.
+// SendStats ships a telemetry backchannel report to the server.
 func (c *Client) SendStats(st StatsPacket) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()

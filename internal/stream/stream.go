@@ -4,18 +4,20 @@
 // length-prefixed message protocol over any reliable byte stream:
 //
 //	client → server  Hello     (device name, negotiated RoI window, scale,
-//	                            protocol version + client clock, v2;
-//	                            publish-channel name, v3)
+//	                            client clock, optional publish-channel name
+//	                            and resume token)
 //	client → server  Subscribe (spectate an existing publish channel instead
-//	                            of opening a game session, v3)
+//	                            of opening a game session)
 //	server → client  Accept    (stream geometry: resolution, GOP, quantizer,
-//	                            negotiated version + server clock pair, v2)
-//	server → client  Reject    (refusal: reason code + detail, then close)
-//	server → client  Frame     (index, codec frame type, RoI coords, payload;
-//	                            v2 adds the server's flight ID + send time)
+//	                            server clock pair, resume token)
+//	server → client  Reject    (refusal: reason code + detail + retry-after
+//	                            hint, then close)
+//	server → client  Frame     (index, codec frame type, the server's flight
+//	                            ID + send time, RoI coords, payload)
 //	client → server  Input     (sequence number, opaque input event payload)
 //	client → server  Stats     (periodic client-side latency/age percentiles
 //	                            and drop counts — the telemetry backchannel)
+//	either direction Ping/Pong (liveness heartbeat + RTT sample)
 //	either direction Bye       (clean shutdown)
 //
 // The RoI coordinates riding alongside each frame are the paper's Fig. 6
@@ -24,38 +26,24 @@
 //
 // # Versioning (DESIGN.md §13)
 //
-// The handshake negotiates a protocol version. A v2 client appends its
-// version and a send timestamp to the Hello as trailing uvarints; a v2
-// server answers with the negotiated version (min of both sides) plus a
-// receive/send server-clock pair, giving the client a Cristian-style
-// clock-offset + RTT estimate in a single round trip. The v1 encodings are
-// byte-identical to the pre-versioning wire format, and the v2 parsers
-// accept (and ignore) unknown trailing fields, so a v1 peer on either side
-// of a v2 peer negotiates down to a pure-v1 session. Frame extensions
-// (flight ID, send timestamp) are flagged in the frame's flags byte and
-// only sent on sessions that negotiated v2, so a v1 client never sees
-// bytes it cannot parse.
+// There is one protocol version, ProtocolVersion, and one encoding per
+// message. Hello, Subscribe and Accept open with a two-byte magic followed
+// by the sender's version; every other field of every message is always
+// present, in a fixed order, and a parser rejects a body with missing or
+// trailing bytes. There is no negotiation: a server that reads a Hello or
+// Subscribe with a different magic or version answers RejectBadHello,
+// naming both versions, and closes. The Reject keeps the shape earlier
+// builds parse (code byte, short reason, trailing retry-after uvarint), so
+// a stale peer is told why it was refused instead of seeing a dropped
+// connection.
 //
-// Version 3 adds the publish/subscribe relay (DESIGN.md §14): a Hello may
-// carry a channel name (registering its session as the channel's
-// publisher), and a Subscribe message opens a spectator session on an
-// existing channel instead of a game session. The channel field rides
-// after the v2 extension, so a v3 Hello without a channel is one length
-// byte longer than a v2 one and a v1/v2 Hello is byte-identical to before.
-//
-// Version 4 adds liveness and resume (DESIGN.md §15): MsgPing/MsgPong
-// heartbeats (either direction; the receiver echoes the ping's sequence
-// number and timestamp so the pinger gets an RTT sample from its own
-// clock), an opaque resume token issued in the Accept and replayed in a
-// reconnecting Hello so the server correlates the two connections as one
-// logical session — and, for a publisher, reclaims its parked relay
-// channel — and an optional retry-after hint on Busy rejects. The token
-// fields ride after the v3 extension with the same absent-field leniency:
-// a v4 Hello without a token is one length byte longer than a v3 one, and
-// a v3 peer on either side negotiates the whole extension away.
+// Strings (device, channel, resume token, payloads) are a uvarint length
+// followed by raw bytes; integers and timestamps (µs since the Unix epoch)
+// are uvarints.
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,19 +53,21 @@ import (
 	"gamestreamsr/internal/frame"
 )
 
-// Protocol versions. Version 1 is the original unversioned wire format;
-// version 2 adds handshake clock exchange, per-frame flight IDs + send
-// timestamps, and the Stats backchannel; version 3 adds the
-// publish/subscribe relay (channel field in Hello, Subscribe message);
-// version 4 adds Ping/Pong heartbeats, resume tokens and Busy retry-after.
 const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	ProtocolV3 = 3
-	ProtocolV4 = 4
-	// ProtocolVersion is the highest version this build speaks.
-	ProtocolVersion = ProtocolV4
+	// ProtocolVersion is the one wire-protocol version this build speaks.
+	// It is 5 so that a build from the era of versions 1–4, whose Hello has
+	// no magic, gets a clean mismatch reject instead of a mis-parse.
+	ProtocolVersion = 5
+	// ProtocolV4 keeps code that checks Accept.Version >= ProtocolV4
+	// compiling; every session satisfies that check.
+	//
+	// Deprecated: there is one protocol version; use ProtocolVersion.
+	ProtocolV4 = ProtocolVersion
 )
+
+// protocolMagic opens every Hello, Subscribe and Accept body, ahead of the
+// sender's protocol version.
+const protocolMagic = "GS"
 
 // MsgType identifies a protocol message.
 type MsgType uint8
@@ -130,31 +120,29 @@ const MaxBody = 16 << 20
 var ErrProtocol = errors.New("stream: protocol error")
 
 // Hello is the client's opening message: its identity and the §IV-B1
-// capability probe result (Fig. 6 step ❶). Version ≤ 1 produces the
-// original wire encoding; version ≥ 2 appends the version and the client's
-// send timestamp, which the server echoes into the Accept's clock pair.
+// capability probe result (Fig. 6 step ❶), plus the client's send time,
+// which the server echoes into the Accept's clock pair.
 type Hello struct {
 	Device    string
 	RoIWindow int
 	Scale     int
-	// Version is the highest protocol version the client speaks (0 and 1
-	// both mean the original unversioned format).
+	// Version is the client's protocol version. Client.Handshake fills in
+	// ProtocolVersion when it is 0; a server refuses any other value.
 	Version int
 	// SendUnixMicro is the client's clock (µs since the Unix epoch) when
-	// the Hello was written — T0 of the Cristian offset estimate. Filled
-	// by Client.Handshake on v2 handshakes; 0 on v1.
+	// the Hello was written — T0 of the Cristian offset estimate. Filled by
+	// Client.Handshake when 0.
 	SendUnixMicro int64
-	// Channel, when non-empty on a v3+ hello, registers this session as
-	// the publisher of the named relay channel: spectators can then attach
-	// to the same encoded GOP stream with a Subscribe. Empty means a solo
-	// session (the pre-v3 behaviour).
+	// Channel, when non-empty, registers this session as the publisher of
+	// the named relay channel: spectators can then attach to the same
+	// encoded GOP stream with a Subscribe. Empty means a solo session.
 	Channel string
-	// ResumeToken, when non-empty on a v4+ hello, replays the opaque token
-	// a previous Accept issued: the server correlates this connection with
-	// the earlier session (flight records, per-session metrics) and, if the
-	// session published a channel that is still parked within its grace
-	// window, hands the channel back with its subscribers intact. Empty
-	// means a fresh session.
+	// ResumeToken, when non-empty, replays the opaque token a previous
+	// Accept issued: the server correlates this connection with the earlier
+	// session (flight records, per-session metrics) and, if the session
+	// published a channel that is still parked within its grace window,
+	// hands the channel back with its subscribers intact. Empty means a
+	// fresh session.
 	ResumeToken string
 }
 
@@ -167,7 +155,8 @@ const (
 	RejectBusy RejectCode = iota + 1
 	// RejectCapacity: the hard session cap is reached.
 	RejectCapacity
-	// RejectBadHello: the Hello failed validation.
+	// RejectBadHello: the Hello (or Subscribe) failed validation, including
+	// a protocol version or magic other than this build's.
 	RejectBadHello
 	// RejectUnknownChannel: a Subscribe named a channel with no live
 	// publisher.
@@ -199,10 +188,9 @@ func (c RejectCode) String() string {
 type Reject struct {
 	Code   RejectCode
 	Reason string
-	// RetryAfterMs, when non-zero on a Busy reject, is the server's hint
-	// for how long the client should back off before redialling
-	// (milliseconds). Only encoded to peers that announced v4+ — older
-	// parsers treat trailing bytes on a Reject as corruption.
+	// RetryAfterMs, when non-zero (on Busy and Capacity rejects), is the
+	// server's hint for how long the client should back off before
+	// redialling (milliseconds).
 	RetryAfterMs uint32
 }
 
@@ -229,51 +217,49 @@ func (e *RejectedError) Error() string {
 	return s
 }
 
-// Accept is the server's handshake reply describing the stream. Version 0
-// produces the original wire encoding (what a v1 session uses); version ≥ 2
-// appends the negotiated version and the server's receive/send clock pair
-// (T1, T2), completing the client's offset + RTT estimate.
+// Accept is the server's handshake reply describing the stream, plus the
+// server's receive/send clock pair (T1, T2) that completes the client's
+// offset + RTT estimate.
 type Accept struct {
 	Width, Height int
 	GOPSize       int
 	QStep         int
-	// Version is the negotiated protocol version (0 on v1 sessions).
+	// Version is the server's protocol version; the server always sends
+	// ProtocolVersion.
 	Version int
 	// RecvUnixMicro is the server's clock when the Hello arrived (T1).
 	RecvUnixMicro int64
 	// SendUnixMicro is the server's clock when the Accept was written (T2).
 	SendUnixMicro int64
-	// Token is the opaque resume token (v4+): a reconnecting client
-	// replays it in its Hello so the server correlates the connections as
-	// one logical session and a publisher can reclaim its parked channel.
-	// Empty on pre-v4 sessions or when the server issues none.
+	// Token is the opaque resume token: a reconnecting client replays it in
+	// its Hello so the server correlates the connections as one logical
+	// session and a publisher can reclaim its parked channel. Empty when
+	// the server issues none (spectators).
 	Token string
 }
 
-// FramePacket carries one coded frame plus its RoI coordinates. On v2
-// sessions it also carries the server's flight-recorder frame ID and the
-// server clock at send time, so the frame keeps one identity from the
-// server's encode spans to the client's present span and the client can
-// compute a clock-corrected end-to-end frame age.
+// FramePacket carries one coded frame plus its RoI coordinates, the
+// server's flight-recorder frame ID and the server clock at send time, so
+// the frame keeps one identity from the server's encode spans to the
+// client's present span and the client can compute a clock-corrected
+// end-to-end frame age.
 type FramePacket struct {
 	Index  uint32
 	Keyenc bool // reference (intra) frame
 	// FlightID is the server flight recorder's ID for this frame (0 when
-	// the server records no flight, or on v1 sessions). The client's
-	// recorder adopts it, so the two processes' dumps correlate by ID.
+	// the server records no flight). The client's recorder adopts it, so
+	// the two processes' dumps correlate by ID.
 	FlightID uint64
 	// SendUnixMicro is the server's clock (µs since the Unix epoch) just
-	// before the frame hit the socket; 0 on v1 sessions.
+	// before the frame hit the socket.
 	SendUnixMicro int64
 	RoI           frame.Rect
 	Payload       []byte
 }
 
-// frame flags-byte bits.
-const (
-	frameFlagKey      = 1 << 0 // reference (intra) frame
-	frameFlagExtended = 1 << 1 // flight ID + send timestamp follow
-)
+// frameFlagKey is the frame flags-byte bit marking a reference (intra)
+// frame; no other bit is defined.
+const frameFlagKey = 1 << 0
 
 // InputPacket carries one user-input event.
 type InputPacket struct {
@@ -299,10 +285,10 @@ type StatsPacket struct {
 	AgeP50, AgeP99 time.Duration
 }
 
-// Subscribe is a v3 client's request to spectate an existing publish
-// channel instead of opening a game session: the server replies with the
+// Subscribe is a client's request to spectate an existing publish channel
+// instead of opening a game session: the server replies with the
 // channel's cached Accept geometry, replays the cached keyframe and fans
-// the live GOP tail out to the subscriber. Like a v3 Hello it carries the
+// the live GOP tail out to the subscriber. Like a Hello it carries the
 // client's version and send timestamp, so spectators get the same clock
 // sync as players.
 type Subscribe struct {
@@ -310,14 +296,15 @@ type Subscribe struct {
 	Channel string
 	// Device identifies the spectator (shows up in logs and flight dumps).
 	Device string
-	// Version is the highest protocol version the subscriber speaks.
+	// Version is the subscriber's protocol version (Client.Subscribe fills
+	// in ProtocolVersion when it is 0).
 	Version int
 	// SendUnixMicro is the subscriber's clock when the Subscribe was
 	// written — T0 of its Cristian offset estimate.
 	SendUnixMicro int64
 }
 
-// PingPacket is a v4 liveness probe. Either endpoint may send one at any
+// PingPacket is a liveness probe. Either endpoint may send one at any
 // point after the handshake; the receiver must answer with a Pong echoing
 // Seq and SendUnixMicro. The timestamp is the *pinger's* clock — the
 // responder never interprets it, so RTT sampling needs no clock sync.
@@ -333,6 +320,28 @@ type PongPacket struct {
 	Seq           uint32
 	EchoUnixMicro int64
 }
+
+// versionError is the parse error for a Hello, Subscribe or Accept that
+// does not open with this build's magic and ProtocolVersion. The rest of
+// such a body is not parsed: its field list belongs to another version.
+type versionError struct {
+	msg MsgType
+	got int // the peer's version; -1 when the magic is wrong
+}
+
+// peer names the version the peer speaks.
+func (e *versionError) peer() string {
+	if e.got < 0 {
+		return fmt.Sprintf("pre-v%d (no magic)", ProtocolVersion)
+	}
+	return fmt.Sprintf("v%d", e.got)
+}
+
+func (e *versionError) Error() string {
+	return fmt.Sprintf("%v: %v is protocol %s, this build speaks v%d", ErrProtocol, e.msg, e.peer(), ProtocolVersion)
+}
+
+func (e *versionError) Unwrap() error { return ErrProtocol }
 
 // writeMsg frames a message body.
 func writeMsg(w io.Writer, t MsgType, body []byte) error {
@@ -383,239 +392,19 @@ func (b *byteReader) ReadByte() (byte, error) {
 	return buf[0], err
 }
 
-// --- message bodies -----------------------------------------------------------
+// --- field encoding -----------------------------------------------------------
 
-// WriteHello sends a Hello message. Version ≤ 1 emits the original v1
-// encoding (exactly the pre-versioning bytes); version ≥ 2 appends the
-// version and send timestamp as trailing uvarints, which v1-era parsers of
-// this package reject but the v2 parser accepts from either era; version
-// ≥ 3 additionally appends the publish-channel name (length + raw bytes);
-// version ≥ 4 appends the resume token the same way.
-func WriteHello(w io.Writer, h Hello) error {
-	if len(h.Device) > 255 {
-		return fmt.Errorf("%w: device name too long", ErrProtocol)
-	}
-	if len(h.Channel) > 255 {
-		return fmt.Errorf("%w: channel name too long", ErrProtocol)
-	}
-	if len(h.ResumeToken) > 255 {
-		return fmt.Errorf("%w: resume token too long", ErrProtocol)
-	}
-	body := []byte{byte(len(h.Device))}
-	body = append(body, h.Device...)
-	body = binary.AppendUvarint(body, uint64(h.RoIWindow))
-	body = binary.AppendUvarint(body, uint64(h.Scale))
-	if h.Version >= ProtocolV2 {
-		body = binary.AppendUvarint(body, uint64(h.Version))
-		body = binary.AppendUvarint(body, clampMicro(h.SendUnixMicro))
-	}
-	if h.Version >= ProtocolV3 {
-		body = binary.AppendUvarint(body, uint64(len(h.Channel)))
-		body = append(body, h.Channel...)
-	}
-	if h.Version >= ProtocolV4 {
-		body = binary.AppendUvarint(body, uint64(len(h.ResumeToken)))
-		body = append(body, h.ResumeToken...)
-	}
-	return writeMsg(w, MsgHello, body)
+// appendHeader opens a Hello, Subscribe or Accept body: the magic, then
+// the sender's protocol version.
+func appendHeader(body []byte, version int) []byte {
+	body = append(body, protocolMagic...)
+	return binary.AppendUvarint(body, uint64(version))
 }
 
-func parseHello(body []byte) (Hello, error) {
-	var h Hello
-	if len(body) < 1 {
-		return h, fmt.Errorf("%w: empty hello", ErrProtocol)
-	}
-	n := int(body[0])
-	body = body[1:]
-	if len(body) < n {
-		return h, fmt.Errorf("%w: truncated device name", ErrProtocol)
-	}
-	h.Device = string(body[:n])
-	body = body[n:]
-	// The first two uvarints are required; the next two are the v2
-	// extension: version, then the client's send timestamp (a v1 hello
-	// leaves Version 0, meaning unversioned).
-	vals, rest, err := readUvarintsUpTo(body, 4)
-	if err != nil {
-		return h, err
-	}
-	if len(vals) < 2 {
-		return h, fmt.Errorf("%w: %d hello fields, want at least 2", ErrProtocol, len(vals))
-	}
-	h.RoIWindow = int(vals[0])
-	h.Scale = int(vals[1])
-	if len(vals) >= 3 {
-		h.Version = int(vals[2])
-	}
-	if len(vals) >= 4 {
-		h.SendUnixMicro = int64(vals[3])
-	}
-	switch {
-	case h.Version >= ProtocolV3 && len(rest) > 0:
-		// The v3 extension: channel name as uvarint length + raw bytes.
-		// Absent means no channel (an older build announcing a future
-		// version never wrote one).
-		var m int
-		h.Channel, rest, m = readLenBytes(rest)
-		if m <= 0 {
-			return h, fmt.Errorf("%w: truncated channel name", ErrProtocol)
-		}
-		if h.Version >= ProtocolV4 && len(rest) > 0 {
-			// The v4 extension: resume token, same length + raw-bytes
-			// shape. Absent means no token (a v3 build announcing a
-			// future version never wrote one). Bytes beyond the token
-			// belong to a future version — ignored, the leniency v5 will
-			// rely on.
-			h.ResumeToken, rest, m = readLenBytes(rest)
-			if m <= 0 {
-				return h, fmt.Errorf("%w: truncated resume token", ErrProtocol)
-			}
-		}
-		_ = rest
-	case len(rest) > 0:
-		// Pre-v3 leniency: trailing fields must still be well-formed
-		// uvarints (newer versions append fields, not arbitrary bytes).
-		if _, err := readUvarintsAll(rest, 0); err != nil {
-			return h, err
-		}
-	}
-	if h.RoIWindow <= 0 || h.Scale <= 0 {
-		return h, fmt.Errorf("%w: non-positive hello fields", ErrProtocol)
-	}
-	return h, nil
-}
-
-// readLenBytes reads one uvarint-length-prefixed byte string, returning it
-// plus the unread remainder. m <= 0 signals truncation (a length promising
-// more bytes than the body holds, or a malformed length varint).
-func readLenBytes(body []byte) (s string, rest []byte, m int) {
-	n, m := binary.Uvarint(body)
-	if m <= 0 {
-		return "", nil, -1
-	}
-	body = body[m:]
-	if uint64(len(body)) < n {
-		return "", nil, -1
-	}
-	return string(body[:n]), body[n:], m
-}
-
-// WriteSubscribe sends a Subscribe message (v3): channel + device as
-// length-prefixed strings, then version + send timestamp as uvarints, with
-// the same trailing-field leniency the versioned Hello has.
-func WriteSubscribe(w io.Writer, s Subscribe) error {
-	if s.Channel == "" {
-		return fmt.Errorf("%w: subscribe without channel", ErrProtocol)
-	}
-	if len(s.Channel) > 255 {
-		return fmt.Errorf("%w: channel name too long", ErrProtocol)
-	}
-	if len(s.Device) > 255 {
-		return fmt.Errorf("%w: device name too long", ErrProtocol)
-	}
-	body := []byte{byte(len(s.Channel))}
-	body = append(body, s.Channel...)
-	body = append(body, byte(len(s.Device)))
-	body = append(body, s.Device...)
-	body = binary.AppendUvarint(body, uint64(s.Version))
-	body = binary.AppendUvarint(body, clampMicro(s.SendUnixMicro))
-	return writeMsg(w, MsgSubscribe, body)
-}
-
-func parseSubscribe(body []byte) (Subscribe, error) {
-	var s Subscribe
-	if len(body) < 1 {
-		return s, fmt.Errorf("%w: empty subscribe", ErrProtocol)
-	}
-	n := int(body[0])
-	body = body[1:]
-	if len(body) < n {
-		return s, fmt.Errorf("%w: truncated channel name", ErrProtocol)
-	}
-	s.Channel = string(body[:n])
-	body = body[n:]
-	if s.Channel == "" {
-		return s, fmt.Errorf("%w: subscribe without channel", ErrProtocol)
-	}
-	if len(body) < 1 {
-		return s, fmt.Errorf("%w: truncated subscribe", ErrProtocol)
-	}
-	n = int(body[0])
-	body = body[1:]
-	if len(body) < n {
-		return s, fmt.Errorf("%w: truncated device name", ErrProtocol)
-	}
-	s.Device = string(body[:n])
-	body = body[n:]
-	vals, err := readUvarintsAll(body, 2)
-	if err != nil {
-		return s, err
-	}
-	s.Version = int(vals[0])
-	s.SendUnixMicro = int64(vals[1])
-	return s, nil
-}
-
-// WriteAccept sends an Accept message. Version 0 (and 1) emits the
-// original v1 encoding; version ≥ 2 appends the negotiated version and the
-// server's receive/send clock pair; version ≥ 4 appends the resume token
-// (length + raw bytes).
-func WriteAccept(w io.Writer, a Accept) error {
-	if len(a.Token) > 255 {
-		return fmt.Errorf("%w: resume token too long", ErrProtocol)
-	}
-	var body []byte
-	for _, v := range []int{a.Width, a.Height, a.GOPSize, a.QStep} {
-		body = binary.AppendUvarint(body, uint64(v))
-	}
-	if a.Version >= ProtocolV2 {
-		body = binary.AppendUvarint(body, uint64(a.Version))
-		body = binary.AppendUvarint(body, clampMicro(a.RecvUnixMicro))
-		body = binary.AppendUvarint(body, clampMicro(a.SendUnixMicro))
-	}
-	if a.Version >= ProtocolV4 {
-		body = binary.AppendUvarint(body, uint64(len(a.Token)))
-		body = append(body, a.Token...)
-	}
-	return writeMsg(w, MsgAccept, body)
-}
-
-func parseAccept(body []byte) (Accept, error) {
-	vals, rest, err := readUvarintsUpTo(body, 7)
-	if err != nil {
-		return Accept{}, err
-	}
-	if len(vals) < 4 {
-		return Accept{}, fmt.Errorf("%w: %d accept fields, want at least 4", ErrProtocol, len(vals))
-	}
-	a := Accept{Width: int(vals[0]), Height: int(vals[1]), GOPSize: int(vals[2]), QStep: int(vals[3])}
-	if len(vals) >= 5 {
-		a.Version = int(vals[4])
-	}
-	if len(vals) >= 7 {
-		a.RecvUnixMicro = int64(vals[5])
-		a.SendUnixMicro = int64(vals[6])
-	}
-	switch {
-	case a.Version >= ProtocolV4 && len(rest) > 0:
-		// The v4 extension: resume token. Absent means none issued; bytes
-		// beyond it belong to a future version and are ignored.
-		var m int
-		a.Token, _, m = readLenBytes(rest)
-		if m <= 0 {
-			return Accept{}, fmt.Errorf("%w: truncated resume token", ErrProtocol)
-		}
-	case len(rest) > 0:
-		// Pre-v4 leniency: trailing fields must still be well-formed
-		// uvarints (newer versions append fields, not arbitrary bytes).
-		if _, err := readUvarintsAll(rest, 0); err != nil {
-			return Accept{}, err
-		}
-	}
-	if a.Width <= 0 || a.Height <= 0 || a.GOPSize <= 0 || a.QStep <= 0 {
-		return Accept{}, fmt.Errorf("%w: non-positive accept fields", ErrProtocol)
-	}
-	return a, nil
+// appendBytes appends a uvarint length followed by the raw bytes.
+func appendBytes[S string | []byte](body []byte, s S) []byte {
+	body = binary.AppendUvarint(body, uint64(len(s)))
+	return append(body, s...)
 }
 
 // clampMicro guards timestamp encoding: timestamps ride as uvarints, so a
@@ -627,43 +416,221 @@ func clampMicro(v int64) uint64 {
 	return uint64(v)
 }
 
-// WriteReject sends a Reject message. A non-zero RetryAfterMs rides as a
-// trailing uvarint; callers must only set it for peers that announced v4+
-// (older parsers reject trailing bytes as corruption).
+// decoder reads a message body field by field. The first failure sticks
+// and later reads return zero values, so a parser reads its whole field
+// list and checks once, with end.
+type decoder struct {
+	msg MsgType
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %v: truncated %s", ErrProtocol, d.msg, what)
+	}
+}
+
+// header checks the magic and protocol version that open a Hello,
+// Subscribe or Accept body, and returns the version.
+func (d *decoder) header() int {
+	if !bytes.HasPrefix(d.b, []byte(protocolMagic)) {
+		d.err = &versionError{msg: d.msg, got: -1}
+		return 0
+	}
+	d.b = d.b[len(protocolMagic):]
+	v := int(d.uvarint("version"))
+	if d.err == nil && v != ProtocolVersion {
+		d.err = &versionError{msg: d.msg, got: v}
+	}
+	return v
+}
+
+func (d *decoder) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail(what)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) byte(what string) byte {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.b) < 1 {
+		d.fail(what)
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+// bytes reads a uvarint length followed by that many raw bytes; the result
+// aliases the body.
+func (d *decoder) bytes(what string) []byte {
+	n := d.uvarint(what)
+	if d.err != nil {
+		return nil
+	}
+	if uint64(len(d.b)) < n {
+		d.fail(what)
+		return nil
+	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b
+}
+
+func (d *decoder) string(what string) string { return string(d.bytes(what)) }
+
+// end returns the first failure, or an error if bytes remain: every
+// message has exactly one field list.
+func (d *decoder) end() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("%w: %v: %d trailing bytes", ErrProtocol, d.msg, len(d.b))
+	}
+	return d.err
+}
+
+// --- message bodies -----------------------------------------------------------
+
+// WriteHello sends a Hello message: magic, version, device, RoI window,
+// scale, send timestamp, channel, resume token.
+func WriteHello(w io.Writer, h Hello) error {
+	if len(h.Device) > 255 {
+		return fmt.Errorf("%w: device name too long", ErrProtocol)
+	}
+	if len(h.Channel) > 255 {
+		return fmt.Errorf("%w: channel name too long", ErrProtocol)
+	}
+	if len(h.ResumeToken) > 255 {
+		return fmt.Errorf("%w: resume token too long", ErrProtocol)
+	}
+	body := appendHeader(nil, h.Version)
+	body = appendBytes(body, h.Device)
+	body = binary.AppendUvarint(body, uint64(h.RoIWindow))
+	body = binary.AppendUvarint(body, uint64(h.Scale))
+	body = binary.AppendUvarint(body, clampMicro(h.SendUnixMicro))
+	body = appendBytes(body, h.Channel)
+	body = appendBytes(body, h.ResumeToken)
+	return writeMsg(w, MsgHello, body)
+}
+
+func parseHello(body []byte) (Hello, error) {
+	d := decoder{msg: MsgHello, b: body}
+	h := Hello{Version: d.header()}
+	h.Device = d.string("device name")
+	h.RoIWindow = int(d.uvarint("roi window"))
+	h.Scale = int(d.uvarint("scale"))
+	h.SendUnixMicro = int64(d.uvarint("send time"))
+	h.Channel = d.string("channel name")
+	h.ResumeToken = d.string("resume token")
+	if err := d.end(); err != nil {
+		return Hello{}, err
+	}
+	if h.RoIWindow <= 0 || h.Scale <= 0 {
+		return Hello{}, fmt.Errorf("%w: non-positive hello fields", ErrProtocol)
+	}
+	return h, nil
+}
+
+// WriteSubscribe sends a Subscribe message: magic, version, channel,
+// device, send timestamp.
+func WriteSubscribe(w io.Writer, s Subscribe) error {
+	if s.Channel == "" {
+		return fmt.Errorf("%w: subscribe without channel", ErrProtocol)
+	}
+	if len(s.Channel) > 255 {
+		return fmt.Errorf("%w: channel name too long", ErrProtocol)
+	}
+	if len(s.Device) > 255 {
+		return fmt.Errorf("%w: device name too long", ErrProtocol)
+	}
+	body := appendHeader(nil, s.Version)
+	body = appendBytes(body, s.Channel)
+	body = appendBytes(body, s.Device)
+	body = binary.AppendUvarint(body, clampMicro(s.SendUnixMicro))
+	return writeMsg(w, MsgSubscribe, body)
+}
+
+func parseSubscribe(body []byte) (Subscribe, error) {
+	d := decoder{msg: MsgSubscribe, b: body}
+	s := Subscribe{Version: d.header()}
+	s.Channel = d.string("channel name")
+	s.Device = d.string("device name")
+	s.SendUnixMicro = int64(d.uvarint("send time"))
+	if err := d.end(); err != nil {
+		return Subscribe{}, err
+	}
+	if s.Channel == "" {
+		return Subscribe{}, fmt.Errorf("%w: subscribe without channel", ErrProtocol)
+	}
+	return s, nil
+}
+
+// WriteAccept sends an Accept message: magic, version, width, height, GOP
+// size, quantizer step, the server's receive/send clock pair, resume token.
+func WriteAccept(w io.Writer, a Accept) error {
+	if len(a.Token) > 255 {
+		return fmt.Errorf("%w: resume token too long", ErrProtocol)
+	}
+	body := appendHeader(nil, a.Version)
+	for _, v := range []int{a.Width, a.Height, a.GOPSize, a.QStep} {
+		body = binary.AppendUvarint(body, uint64(v))
+	}
+	body = binary.AppendUvarint(body, clampMicro(a.RecvUnixMicro))
+	body = binary.AppendUvarint(body, clampMicro(a.SendUnixMicro))
+	body = appendBytes(body, a.Token)
+	return writeMsg(w, MsgAccept, body)
+}
+
+func parseAccept(body []byte) (Accept, error) {
+	d := decoder{msg: MsgAccept, b: body}
+	a := Accept{Version: d.header()}
+	a.Width = int(d.uvarint("width"))
+	a.Height = int(d.uvarint("height"))
+	a.GOPSize = int(d.uvarint("gop size"))
+	a.QStep = int(d.uvarint("qstep"))
+	a.RecvUnixMicro = int64(d.uvarint("recv time"))
+	a.SendUnixMicro = int64(d.uvarint("send time"))
+	a.Token = d.string("resume token")
+	if err := d.end(); err != nil {
+		return Accept{}, err
+	}
+	if a.Width <= 0 || a.Height <= 0 || a.GOPSize <= 0 || a.QStep <= 0 {
+		return Accept{}, fmt.Errorf("%w: non-positive accept fields", ErrProtocol)
+	}
+	return a, nil
+}
+
+// WriteReject sends a Reject message: code byte, reason (truncated to 255
+// bytes), retry-after hint.
 func WriteReject(w io.Writer, rej Reject) error {
 	if len(rej.Reason) > 255 {
 		rej.Reason = rej.Reason[:255]
 	}
-	body := []byte{byte(rej.Code), byte(len(rej.Reason))}
-	body = append(body, rej.Reason...)
-	if rej.RetryAfterMs > 0 {
-		body = binary.AppendUvarint(body, uint64(rej.RetryAfterMs))
-	}
+	body := []byte{byte(rej.Code)}
+	body = appendBytes(body, rej.Reason)
+	body = binary.AppendUvarint(body, uint64(rej.RetryAfterMs))
 	return writeMsg(w, MsgReject, body)
 }
 
 func parseReject(body []byte) (Reject, error) {
-	if len(body) < 2 {
-		return Reject{}, fmt.Errorf("%w: truncated reject", ErrProtocol)
-	}
-	rej := Reject{Code: RejectCode(body[0])}
-	n := int(body[1])
-	if len(body) < 2+n {
-		return Reject{}, fmt.Errorf("%w: reject reason length %d > %d", ErrProtocol, n, len(body)-2)
-	}
-	rej.Reason = string(body[2 : 2+n])
-	if rest := body[2+n:]; len(rest) > 0 {
-		// The v4 extension: retry-after hint, then future-version leniency.
-		vals, err := readUvarintsAll(rest, 1)
-		if err != nil {
-			return Reject{}, err
-		}
-		rej.RetryAfterMs = uint32(vals[0])
-	}
-	return rej, nil
+	d := decoder{msg: MsgReject, b: body}
+	rej := Reject{Code: RejectCode(d.byte("code"))}
+	rej.Reason = d.string("reason")
+	rej.RetryAfterMs = uint32(d.uvarint("retry-after"))
+	return rej, d.end()
 }
 
-// WritePing sends a liveness probe (v4).
+// WritePing sends a liveness probe.
 func WritePing(w io.Writer, p PingPacket) error {
 	body := binary.AppendUvarint(nil, uint64(p.Seq))
 	body = binary.AppendUvarint(body, clampMicro(p.SendUnixMicro))
@@ -671,15 +638,12 @@ func WritePing(w io.Writer, p PingPacket) error {
 }
 
 func parsePing(body []byte) (PingPacket, error) {
-	vals, err := readUvarintsAll(body, 2)
-	if err != nil {
-		return PingPacket{}, err
-	}
-	return PingPacket{Seq: uint32(vals[0]), SendUnixMicro: int64(vals[1])}, nil
+	d := decoder{msg: MsgPing, b: body}
+	p := PingPacket{Seq: uint32(d.uvarint("seq")), SendUnixMicro: int64(d.uvarint("send time"))}
+	return p, d.end()
 }
 
-// WritePong answers a Ping (v4), echoing its sequence number and
-// timestamp.
+// WritePong answers a Ping, echoing its sequence number and timestamp.
 func WritePong(w io.Writer, p PongPacket) error {
 	body := binary.AppendUvarint(nil, uint64(p.Seq))
 	body = binary.AppendUvarint(body, clampMicro(p.EchoUnixMicro))
@@ -687,96 +651,62 @@ func WritePong(w io.Writer, p PongPacket) error {
 }
 
 func parsePong(body []byte) (PongPacket, error) {
-	vals, err := readUvarintsAll(body, 2)
-	if err != nil {
-		return PongPacket{}, err
-	}
-	return PongPacket{Seq: uint32(vals[0]), EchoUnixMicro: int64(vals[1])}, nil
+	d := decoder{msg: MsgPong, b: body}
+	p := PongPacket{Seq: uint32(d.uvarint("seq")), EchoUnixMicro: int64(d.uvarint("echo time"))}
+	return p, d.end()
 }
 
-// WriteFrame sends a FramePacket. When the packet carries trace identity
-// (a flight ID or send timestamp — set only on v2 sessions), the flags
-// byte's extension bit is set and the two fields ride between the flags
-// and the RoI; a plain packet is byte-identical to the v1 encoding.
+// WriteFrame sends a FramePacket: index, flags, flight ID, send timestamp,
+// RoI, payload.
 func WriteFrame(w io.Writer, f FramePacket) error {
 	body := binary.AppendUvarint(nil, uint64(f.Index))
-	extended := f.FlightID != 0 || f.SendUnixMicro != 0
 	var flags byte
 	if f.Keyenc {
 		flags |= frameFlagKey
 	}
-	if extended {
-		flags |= frameFlagExtended
-	}
 	body = append(body, flags)
-	if extended {
-		body = binary.AppendUvarint(body, f.FlightID)
-		body = binary.AppendUvarint(body, clampMicro(f.SendUnixMicro))
-	}
+	body = binary.AppendUvarint(body, f.FlightID)
+	body = binary.AppendUvarint(body, clampMicro(f.SendUnixMicro))
 	for _, v := range []int{f.RoI.X, f.RoI.Y, f.RoI.W, f.RoI.H} {
 		body = binary.AppendUvarint(body, uint64(v))
 	}
-	body = binary.AppendUvarint(body, uint64(len(f.Payload)))
-	body = append(body, f.Payload...)
+	body = appendBytes(body, f.Payload)
 	return writeMsg(w, MsgFrame, body)
 }
 
 func parseFrame(body []byte) (FramePacket, error) {
-	var f FramePacket
-	idx, n := binary.Uvarint(body)
-	if n <= 0 {
-		return f, fmt.Errorf("%w: bad frame index", ErrProtocol)
-	}
-	f.Index = uint32(idx)
-	body = body[n:]
-	if len(body) < 1 {
-		return f, fmt.Errorf("%w: truncated frame flags", ErrProtocol)
-	}
-	flags := body[0]
+	d := decoder{msg: MsgFrame, b: body}
+	f := FramePacket{Index: uint32(d.uvarint("index"))}
+	flags := d.byte("flags")
 	f.Keyenc = flags&frameFlagKey != 0
-	body = body[1:]
-	if flags&frameFlagExtended != 0 {
-		vals, rest, err := readUvarintsRest(body, 2)
-		if err != nil {
-			return f, err
-		}
-		f.FlightID = vals[0]
-		f.SendUnixMicro = int64(vals[1])
-		body = rest
+	f.FlightID = d.uvarint("flight id")
+	f.SendUnixMicro = int64(d.uvarint("send time"))
+	f.RoI.X = int(d.uvarint("roi x"))
+	f.RoI.Y = int(d.uvarint("roi y"))
+	f.RoI.W = int(d.uvarint("roi w"))
+	f.RoI.H = int(d.uvarint("roi h"))
+	f.Payload = d.bytes("payload")
+	if err := d.end(); err != nil {
+		return FramePacket{}, err
 	}
-	vals, rest, err := readUvarintsRest(body, 5)
-	if err != nil {
-		return f, err
+	if flags&^frameFlagKey != 0 {
+		return FramePacket{}, fmt.Errorf("%w: unknown frame flags %#x", ErrProtocol, flags)
 	}
-	f.RoI = frame.Rect{X: int(vals[0]), Y: int(vals[1]), W: int(vals[2]), H: int(vals[3])}
-	plen := int(vals[4])
-	if plen != len(rest) {
-		return f, fmt.Errorf("%w: payload length %d != %d", ErrProtocol, plen, len(rest))
-	}
-	f.Payload = rest
 	return f, nil
 }
 
 // WriteInput sends an InputPacket.
 func WriteInput(w io.Writer, in InputPacket) error {
 	body := binary.AppendUvarint(nil, uint64(in.Seq))
-	body = binary.AppendUvarint(body, uint64(len(in.Payload)))
-	body = append(body, in.Payload...)
+	body = appendBytes(body, in.Payload)
 	return writeMsg(w, MsgInput, body)
 }
 
 func parseInput(body []byte) (InputPacket, error) {
-	var in InputPacket
-	vals, rest, err := readUvarintsRest(body, 2)
-	if err != nil {
-		return in, err
-	}
-	in.Seq = uint32(vals[0])
-	if int(vals[1]) != len(rest) {
-		return in, fmt.Errorf("%w: input payload length mismatch", ErrProtocol)
-	}
-	in.Payload = rest
-	return in, nil
+	d := decoder{msg: MsgInput, b: body}
+	in := InputPacket{Seq: uint32(d.uvarint("seq"))}
+	in.Payload = d.bytes("payload")
+	return in, d.end()
 }
 
 // WriteBye sends a Bye message.
@@ -795,79 +725,14 @@ func WriteStats(w io.Writer, st StatsPacket) error {
 }
 
 func parseStats(body []byte) (StatsPacket, error) {
-	vals, err := readUvarints(body, 10)
-	if err != nil {
-		return StatsPacket{}, err
-	}
-	us := func(v uint64) time.Duration { return time.Duration(v) * time.Microsecond }
-	return StatsPacket{
-		Seq:          uint32(vals[0]),
-		WindowFrames: uint32(vals[1]),
-		Dropped:      uint32(vals[2]),
-		Misses:       uint32(vals[3]),
-		DecodeP50:    us(vals[4]), DecodeP99: us(vals[5]),
-		SRP50: us(vals[6]), SRP99: us(vals[7]),
-		AgeP50: us(vals[8]), AgeP99: us(vals[9]),
-	}, nil
-}
-
-func readUvarints(body []byte, n int) ([]uint64, error) {
-	vals, rest, err := readUvarintsRest(body, n)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(rest))
-	}
-	return vals, nil
-}
-
-// readUvarintsAll reads at least min uvarints and then as many more as the
-// body holds — the lenient shape versioned messages use, where trailing
-// fields belong to newer versions and must parse cleanly, not fatally.
-func readUvarintsAll(body []byte, min int) ([]uint64, error) {
-	var vals []uint64
-	for len(body) > 0 {
-		v, m := binary.Uvarint(body)
-		if m <= 0 {
-			return nil, fmt.Errorf("%w: truncated varint field %d", ErrProtocol, len(vals))
-		}
-		vals = append(vals, v)
-		body = body[m:]
-	}
-	if len(vals) < min {
-		return nil, fmt.Errorf("%w: %d fields, want at least %d", ErrProtocol, len(vals), min)
-	}
-	return vals, nil
-}
-
-// readUvarintsUpTo reads up to max uvarints, stopping early when the body
-// runs out, and returns them plus the unread remainder — the shape of a
-// versioned message whose tail switches from uvarints to raw bytes.
-func readUvarintsUpTo(body []byte, max int) ([]uint64, []byte, error) {
-	vals := make([]uint64, 0, max)
-	for len(vals) < max && len(body) > 0 {
-		v, m := binary.Uvarint(body)
-		if m <= 0 {
-			return nil, nil, fmt.Errorf("%w: truncated varint field %d", ErrProtocol, len(vals))
-		}
-		vals = append(vals, v)
-		body = body[m:]
-	}
-	return vals, body, nil
-}
-
-func readUvarintsRest(body []byte, n int) ([]uint64, []byte, error) {
-	vals := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		v, m := binary.Uvarint(body)
-		if m <= 0 {
-			return nil, nil, fmt.Errorf("%w: truncated varint field %d", ErrProtocol, i)
-		}
-		vals[i] = v
-		body = body[m:]
-	}
-	return vals, body, nil
+	d := decoder{msg: MsgStats, b: body}
+	u32 := func() uint32 { return uint32(d.uvarint("counter")) }
+	us := func() time.Duration { return time.Duration(d.uvarint("percentile")) * time.Microsecond }
+	st := StatsPacket{Seq: u32(), WindowFrames: u32(), Dropped: u32(), Misses: u32()}
+	st.DecodeP50, st.DecodeP99 = us(), us()
+	st.SRP50, st.SRP99 = us(), us()
+	st.AgeP50, st.AgeP99 = us(), us()
+	return st, d.end()
 }
 
 // Msg is a decoded protocol message; exactly one field is set.
@@ -884,7 +749,9 @@ type Msg struct {
 	Pong      *PongPacket
 }
 
-// ReadMsg reads and decodes the next message from r.
+// ReadMsg reads and decodes the next message from r. A Hello, Subscribe or
+// Accept from another protocol version fails with an error wrapping
+// ErrProtocol that names both versions.
 func ReadMsg(r io.Reader) (Msg, error) {
 	t, body, err := readMsg(r)
 	if err != nil {
@@ -917,6 +784,9 @@ func ReadMsg(r io.Reader) (Msg, error) {
 		}
 		out.Input = &in
 	case MsgBye:
+		if len(body) > 0 {
+			return Msg{}, fmt.Errorf("%w: bye: %d trailing bytes", ErrProtocol, len(body))
+		}
 	case MsgReject:
 		rej, err := parseReject(body)
 		if err != nil {

@@ -29,7 +29,7 @@ func TestMsgTypeString(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	h := Hello{Device: "Samsung Galaxy Tab S8", RoIWindow: 300, Scale: 2}
+	h := Hello{Device: "Samsung Galaxy Tab S8", RoIWindow: 300, Scale: 2, Version: ProtocolVersion}
 	if err := WriteHello(&buf, h); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestHelloValidation(t *testing.T) {
 	}
 	// Zero RoI window rejected on parse.
 	buf.Reset()
-	if err := WriteHello(&buf, Hello{Device: "x", RoIWindow: 0, Scale: 2}); err != nil {
+	if err := WriteHello(&buf, Hello{Device: "x", RoIWindow: 0, Scale: 2, Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMsg(&buf); err == nil {
@@ -60,7 +60,7 @@ func TestHelloValidation(t *testing.T) {
 
 func TestAcceptRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	a := Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6}
+	a := Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6, Version: ProtocolVersion}
 	if err := WriteAccept(&buf, a); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestServeValidateRejects(t *testing.T) {
 			Validate: func(h Hello) error { return errors.New("window too small") },
 		})
 	}()
-	go WriteHello(client, Hello{Device: "x", RoIWindow: 4, Scale: 2})
+	go WriteHello(client, Hello{Device: "x", RoIWindow: 4, Scale: 2, Version: ProtocolVersion})
 	if err := <-done; err == nil {
 		t.Fatal("server should reject the client")
 	}
@@ -408,5 +408,48 @@ func TestRejectRoundTrip(t *testing.T) {
 	}
 	if n := len(msg.Reject.Reason); n != 255 {
 		t.Errorf("truncated reason length = %d, want 255", n)
+	}
+}
+
+// TestParsersRejectTrailingBytes: every message has one fixed field list,
+// so one extra byte after the last field is a protocol error, never a
+// field to skip.
+func TestParsersRejectTrailingBytes(t *testing.T) {
+	writers := map[MsgType]func(*bytes.Buffer) error{
+		MsgHello: func(b *bytes.Buffer) error {
+			return WriteHello(b, Hello{Device: "d", RoIWindow: 8, Scale: 2, Version: ProtocolVersion, Channel: "c", ResumeToken: "t"})
+		},
+		MsgSubscribe: func(b *bytes.Buffer) error {
+			return WriteSubscribe(b, Subscribe{Channel: "c", Device: "d", Version: ProtocolVersion})
+		},
+		MsgAccept: func(b *bytes.Buffer) error {
+			return WriteAccept(b, Accept{Width: 4, Height: 4, GOPSize: 2, QStep: 6, Version: ProtocolVersion, Token: "t"})
+		},
+		MsgReject: func(b *bytes.Buffer) error { return WriteReject(b, Reject{Code: RejectBusy, Reason: "r"}) },
+		MsgFrame: func(b *bytes.Buffer) error {
+			return WriteFrame(b, FramePacket{Index: 1, FlightID: 2, SendUnixMicro: 3, Payload: []byte("p")})
+		},
+		MsgInput: func(b *bytes.Buffer) error { return WriteInput(b, InputPacket{Seq: 1, Payload: []byte("p")}) },
+		MsgStats: func(b *bytes.Buffer) error { return WriteStats(b, StatsPacket{Seq: 1}) },
+		MsgPing:  func(b *bytes.Buffer) error { return WritePing(b, PingPacket{Seq: 1}) },
+		MsgPong:  func(b *bytes.Buffer) error { return WritePong(b, PongPacket{Seq: 1}) },
+		MsgBye:   func(b *bytes.Buffer) error { return WriteBye(b) },
+	}
+	for typ, write := range writers {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatalf("%v: %v", typ, err)
+		}
+		if _, err := ReadMsg(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("%v: well-formed message rejected: %v", typ, err)
+		}
+		// Re-frame the body with one trailing byte (all bodies here are
+		// short enough for a one-byte length).
+		raw := buf.Bytes()
+		body := append(append([]byte(nil), raw[2:]...), 0)
+		long := append([]byte{raw[0], byte(len(body))}, body...)
+		if _, err := ReadMsg(bytes.NewReader(long)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%v with a trailing byte: err = %v, want a protocol error", typ, err)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package stream
 
 import (
-	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,25 +15,8 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
-func TestNegotiateVersion(t *testing.T) {
-	cases := []struct{ client, want int }{
-		{0, ProtocolV1}, // unversioned v1 hello
-		{1, ProtocolV1},
-		{2, ProtocolV2},
-		{3, ProtocolV3},
-		{4, ProtocolV4},
-		{5, ProtocolV4}, // future client negotiates down to what we speak
-		{99, ProtocolV4},
-	}
-	for _, c := range cases {
-		if got := NegotiateVersion(c.client); got != c.want {
-			t.Errorf("NegotiateVersion(%d) = %d, want %d", c.client, got, c.want)
-		}
-	}
-}
-
-// serveFrames runs a 3-frame server session on conn with a flight recorder
-// attached (so v2 frames carry flight IDs) and returns its error channel.
+// serveFrames runs a 3-frame server session on conn and returns its error
+// channel.
 func serveFrames(conn io.ReadWriter, opt ServerOptions) chan error {
 	if opt.Source == nil {
 		opt.Source = &sliceSource{frames: [][]byte{[]byte("f0"), []byte("f1"), []byte("f2")}}
@@ -44,11 +29,11 @@ func serveFrames(conn io.ReadWriter, opt ServerOptions) chan error {
 	return done
 }
 
-// TestHandshakeV2 checks the versioned handshake end to end: negotiated
+// TestHandshakeClockSync checks the handshake end to end: protocol
 // version, Cristian clock sync with the offset error bounded by RTT/2
 // (both endpoints share one physical clock here, so the true offset is 0),
 // and frames carrying the server's flight identity.
-func TestHandshakeV2(t *testing.T) {
+func TestHandshakeClockSync(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
 	defer client.Close()
@@ -103,153 +88,89 @@ func TestHandshakeV2(t *testing.T) {
 	}
 }
 
-// TestV1ClientNewServer: an unversioned client must get a byte-identical
-// v1 session from a new server — unversioned Accept, no clock fields, no
-// frame trace identity — even when the server records a flight.
-func TestV1ClientNewServer(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	defer client.Close()
-	rec := frametrace.New(frametrace.Config{Frames: 8})
-	done := serveFrames(server, ServerOptions{Flight: rec})
-
-	c := NewClient(client)
-	cfg, err := c.Handshake(Hello{Device: "v1", RoIWindow: 40, Scale: 2})
-	if err != nil {
-		t.Fatal(err)
+// TestVersionMismatchRejected: a Hello or Subscribe from any other protocol
+// version, or without the magic (a build from before the magic existed),
+// is refused with RejectBadHello whose reason names both versions — by
+// MultiServer and by a plain Serve session alike. There is no negotiation.
+func TestVersionMismatchRejected(t *testing.T) {
+	// A Hello as builds of protocol versions 1–4 wrote it: device name,
+	// RoI window, scale, version, send time, channel, resume token.
+	preMagic := []byte{1, 'd'}
+	for _, v := range []uint64{32, 2, 4, 12345, 0, 0} {
+		preMagic = binary.AppendUvarint(preMagic, v)
 	}
-	if cfg.Version != 0 || cfg.RecvUnixMicro != 0 || cfg.SendUnixMicro != 0 {
-		t.Fatalf("v1 client got versioned accept: %+v", cfg)
+	cases := []struct {
+		name string
+		peer string // how the reason names the client's version
+		open func(c *Client) error
+	}{
+		{"hello-newer", fmt.Sprintf("v%d", ProtocolVersion+1), func(c *Client) error {
+			_, err := c.Handshake(Hello{Device: "d", RoIWindow: 8, Scale: 2, Version: ProtocolVersion + 1})
+			return err
+		}},
+		{"hello-older", fmt.Sprintf("v%d", ProtocolVersion-1), func(c *Client) error {
+			_, err := c.Handshake(Hello{Device: "d", RoIWindow: 8, Scale: 2, Version: ProtocolVersion - 1})
+			return err
+		}},
+		{"subscribe-newer", fmt.Sprintf("v%d", ProtocolVersion+1), func(c *Client) error {
+			_, err := c.Subscribe(Subscribe{Channel: "arena", Version: ProtocolVersion + 1})
+			return err
+		}},
+		{"subscribe-older", fmt.Sprintf("v%d", ProtocolVersion-1), func(c *Client) error {
+			_, err := c.Subscribe(Subscribe{Channel: "arena", Version: ProtocolVersion - 1})
+			return err
+		}},
+		{"bad-magic", fmt.Sprintf("pre-v%d", ProtocolVersion), func(c *Client) error {
+			if err := writeMsg(c.conn, MsgHello, preMagic); err != nil {
+				return err
+			}
+			_, err := c.awaitAccept(0)
+			return err
+		}},
 	}
-	if c.Clock().Synced {
-		t.Error("v1 session must not claim clock sync")
+	srv := &MultiServer{
+		Accept:    Accept{Width: 16, Height: 16, GOPSize: 4, QStep: 6},
+		NewSource: func(Hello) (FrameSource, error) { return &countingSource{n: 1}, nil },
 	}
-	for {
-		pkt, err := c.RecvFrame()
-		if err == io.EOF {
-			break
+	addr, done := startMulti(t, srv)
+	defer func() {
+		srv.Shutdown(context.Background())
+		<-done
+	}()
+	check := func(t *testing.T, err error, peer string) {
+		t.Helper()
+		var rej *RejectedError
+		if !errors.As(err, &rej) || rej.Code != RejectBadHello {
+			t.Fatalf("got %v, want *RejectedError(bad-hello)", err)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pkt.FlightID != 0 || pkt.SendUnixMicro != 0 {
-			t.Fatalf("v1 frame carries v2 fields: %+v", pkt)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-}
-
-// TestFutureClientNegotiatesDown: a client announcing a version newer than
-// the server speaks gets the server's best, not an error.
-func TestFutureClientNegotiatesDown(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	defer client.Close()
-	done := serveFrames(server, ServerOptions{})
-
-	c := NewClient(client)
-	cfg, err := c.Handshake(Hello{Device: "future", RoIWindow: 40, Scale: 2, Version: ProtocolVersion + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Version != ProtocolVersion {
-		t.Fatalf("negotiated %d, want %d", cfg.Version, ProtocolVersion)
-	}
-	for {
-		if _, err := c.RecvFrame(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
+		for _, want := range []string{peer, fmt.Sprintf("server v%d", ProtocolVersion)} {
+			if !strings.Contains(rej.Reason, want) {
+				t.Errorf("reason %q does not name %q", rej.Reason, want)
+			}
 		}
 	}
-	<-done
-}
-
-// oldParseHello replicates the pre-versioning server's strict Hello parser
-// (exact field count, trailing bytes rejected) — the behaviour a v2 client
-// must survive by redialling with a v1 hello.
-func oldParseHello(body []byte) (Hello, error) {
-	var h Hello
-	if len(body) < 1 {
-		return h, fmt.Errorf("%w: empty hello", ErrProtocol)
+	for _, tc := range cases {
+		t.Run(tc.name+"/multi", func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			check(t, tc.open(NewClient(conn)), tc.peer)
+		})
+		t.Run(tc.name+"/serve", func(t *testing.T) {
+			server, client := net.Pipe()
+			defer server.Close()
+			defer client.Close()
+			done := serveFrames(server, ServerOptions{})
+			check(t, tc.open(NewClient(client)), tc.peer)
+			if err := <-done; !errors.Is(err, ErrProtocol) {
+				t.Fatalf("server: %v, want a protocol error", err)
+			}
+		})
 	}
-	n := int(body[0])
-	body = body[1:]
-	if len(body) < n {
-		return h, fmt.Errorf("%w: truncated device name", ErrProtocol)
-	}
-	h.Device = string(body[:n])
-	vals, err := readUvarints(body[n:], 2)
-	if err != nil {
-		return h, err
-	}
-	h.RoIWindow, h.Scale = int(vals[0]), int(vals[1])
-	return h, nil
-}
-
-// rawBody strips the outer message framing (type byte + length uvarint),
-// returning the body an old server's parser would see.
-func rawBody(t *testing.T, buf []byte) []byte {
-	t.Helper()
-	if len(buf) < 2 {
-		t.Fatal("short message")
-	}
-	n, used := binary.Uvarint(buf[1:])
-	if used <= 0 || int(n) != len(buf)-1-used {
-		t.Fatalf("bad framing: %v", buf)
-	}
-	return buf[1+used:]
-}
-
-// TestOldServerRejectsV2Hello pins the downgrade contract: a strict v1
-// parser errors on the versioned hello (so the client knows to redial) and
-// accepts the v1 re-hello byte-for-byte.
-func TestOldServerRejectsV2Hello(t *testing.T) {
-	var v2, v1 bytes.Buffer
-	if err := WriteHello(&v2, Hello{Device: "d", RoIWindow: 32, Scale: 2, Version: ProtocolVersion, SendUnixMicro: 12345}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteHello(&v1, Hello{Device: "d", RoIWindow: 32, Scale: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oldParseHello(rawBody(t, v2.Bytes())); err == nil {
-		t.Fatal("old strict parser accepted a versioned hello — downgrade redial would never trigger")
-	}
-	h, err := oldParseHello(rawBody(t, v1.Bytes()))
-	if err != nil {
-		t.Fatalf("old parser rejected a v1 hello: %v", err)
-	}
-	if h.Device != "d" || h.RoIWindow != 32 || h.Scale != 2 {
-		t.Fatalf("old parse = %+v", h)
-	}
-}
-
-// TestHelloChannelAbsentLeniency: an old v2 build that announces a newer
-// version (its own TestFutureClientNegotiatesDown behaviour) writes a v2
-// hello body with Version >= 3 but no channel field. The v3 parser must
-// treat the absent field as "no channel" — only a *truncated* channel may
-// error — or every old future-proofed client breaks against a new server.
-func TestHelloChannelAbsentLeniency(t *testing.T) {
-	// A v2-layout hello body claiming version 3: device, then the four
-	// uvarint fields, nothing after.
-	body := []byte{1, 'd'}
-	for _, v := range []uint64{32, 2, 3, 12345} { // roi, scale, version, sendUS
-		body = binary.AppendUvarint(body, v)
-	}
-	h, err := parseHello(body)
-	if err != nil {
-		t.Fatalf("v3 hello without channel bytes rejected: %v", err)
-	}
-	if h.Version != 3 || h.Channel != "" {
-		t.Fatalf("parsed %+v, want version 3 with no channel", h)
-	}
-	// A truncated channel (length byte promises more than the body holds)
-	// is still an error, not silently empty.
-	bad := append(append([]byte(nil), body...), 5, 'a')
-	if _, err := parseHello(bad); err == nil {
-		t.Fatal("truncated channel field accepted")
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions admitted across a version mismatch", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
@@ -47,6 +48,7 @@ func benchClientFrame(b *testing.B, instrumented bool) {
 	payload, roi := benchFrame(b)
 	dec := codec.NewDecoder()
 	engine := sr.NewFast(sr.FastConfig{})
+	up := baseUpscaler{pool: bufpool.New()}
 	const scale = 2
 
 	var rec *frametrace.Recorder // nil: every recorder call is a no-op
@@ -76,7 +78,7 @@ func benchClientFrame(b *testing.B, instrumented bool) {
 		}
 		rec.Span(fid, "decode", "decode", tDec, dDec)
 		tUp := time.Now()
-		base, err := upscale.Resize(df.Image, df.Image.W*scale, df.Image.H*scale, upscale.Bilinear)
+		base, err := up.upscale(df.Image, scale)
 		dUp := time.Since(tUp)
 		if err != nil {
 			b.Fatal(err)

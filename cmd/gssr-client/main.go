@@ -55,6 +55,7 @@ import (
 	"syscall"
 	"time"
 
+	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/device"
 	"gamestreamsr/internal/diag"
@@ -159,8 +160,8 @@ type sessionState struct {
 	ageHist *telemetry.Histogram
 	dec     *codec.Decoder
 	engine  sr.Engine
+	up      baseUpscaler
 
-	lastUp        *frame.Image
 	frames, bytes int
 	dropped       uint32
 	misses        uint32
@@ -184,6 +185,7 @@ func run(ctx context.Context, cc clientConfig) error {
 		reg:    telemetry.NewRegistry(),
 		dec:    codec.NewDecoder(),
 		engine: sr.NewFast(sr.FastConfig{}),
+		up:     baseUpscaler{pool: bufpool.New()},
 	}
 	st.rec = frametrace.New(frametrace.Config{Frames: cc.flightFrames, Metrics: st.reg})
 	st.rec.SetProcess("client")
@@ -253,13 +255,34 @@ func run(ctx context.Context, cc clientConfig) error {
 		}
 		logx.Info("flight dump written", "path", cc.flightPath)
 	}
-	if cc.save != "" && st.lastUp != nil {
-		if err := st.lastUp.SavePPM(cc.save); err != nil {
+	if cc.save != "" && st.up.base != nil {
+		if err := st.up.base.SavePPM(cc.save); err != nil {
 			return err
 		}
 		logx.Info("last upscaled frame saved", "path", cc.save)
 	}
 	return sessErr
+}
+
+// baseUpscaler owns the client's bilinear base frame: every frame is
+// upscaled into the same image, rebuilt only when the decoded geometry
+// changes, with the separable pass's intermediate plane drawn from pool.
+// The frame a call returns is valid until the next call.
+type baseUpscaler struct {
+	base *frame.Image
+	pool *bufpool.Pool
+}
+
+// upscale bilinearly upscales im by scale into the owned base frame.
+func (u *baseUpscaler) upscale(im *frame.Image, scale int) (*frame.Image, error) {
+	w, h := im.W*scale, im.H*scale
+	if u.base == nil || u.base.W != w || u.base.H != h {
+		u.base = frame.NewImagePacked(w, h)
+	}
+	if err := upscale.ResizeInto(u.base, im, upscale.Bilinear, u.pool); err != nil {
+		return nil, err
+	}
+	return u.base, nil
 }
 
 // runSession dials, handshakes and runs one connection's receive loop,
@@ -400,7 +423,7 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 
 		// RoI-assisted upscale (Fig. 9).
 		tUp := time.Now()
-		base, err := upscale.Resize(df.Image, df.Image.W*cc.scale, df.Image.H*cc.scale, upscale.Bilinear)
+		base, err := st.up.upscale(df.Image, cc.scale)
 		dUp := time.Since(tUp)
 		if err != nil {
 			return err
@@ -455,7 +478,6 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
 		st.wSR = append(st.wSR, float64(dSR.Microseconds()))
 
-		st.lastUp = base
 		st.frames++
 		st.bytes += len(pkt.Payload)
 		if pkt.Keyenc {

@@ -303,20 +303,20 @@ func (v *gameStreamVariant) DetectRoI(lr render.Output) (frame.Rect, error) {
 // concurrently with bilinear on the full frame, then merge — the real
 // NPU ∥ GPU overlap of the paper's Fig. 9.
 func (v *gameStreamVariant) Upscale(df *codec.DecodedFrame, job *FrameJob) (*frame.Image, error) {
-	cfg := v.cfg
+	cfg := &v.cfg
 	lr := df.Image
 	pool := job.Pool
 
 	// GPU path: bilinear upscale of the full frame. The destination comes
 	// from the run's pool; the measure stage recycles it (RecycleUp) once
 	// no later frame can reference it. The pool is mutex-guarded, so both
-	// overlapped paths may draw from it.
+	// overlapped paths may draw from it. The result travels back on the
+	// channel rather than through a captured variable, which would cost a
+	// heap allocation per frame.
 	base := pool.Image(lr.W*cfg.Scale, lr.H*cfg.Scale)
-	var baseErr error
-	done := make(chan struct{})
+	done := make(chan error)
 	go func() {
-		defer close(done)
-		baseErr = upscale.ResizeIntoOn(cfg.Sched, base, lr, upscale.Bilinear, pool)
+		done <- upscale.ResizeIntoOn(cfg.Sched, base, lr, upscale.Bilinear, pool)
 	}()
 
 	// NPU path: DNN SR on the RoI, overlapped with the bilinear pass.
@@ -339,8 +339,7 @@ func (v *gameStreamVariant) Upscale(df *codec.DecodedFrame, job *FrameJob) (*fra
 		}
 		return hr, nil
 	}()
-	<-done
-	if err == nil {
+	if baseErr := <-done; err == nil {
 		err = baseErr
 	}
 	if err != nil {

@@ -56,8 +56,9 @@ type FastConfig struct {
 	// calibration sweep in TestSharpenSweepDefaultNearOptimal). Negative
 	// disables restoration.
 	Sharpen float64
-	// Sched attributes the kernel's parallel work to a scheduler client
-	// (nil means the default client).
+	// Sched attributes the kernel's parallel work — the resample passes and
+	// the row-parallel sharpen — to a scheduler client (nil means the
+	// default client).
 	Sched *parallel.Client
 }
 
@@ -113,72 +114,79 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 	if f.cfg.Sharpen == 0 || scale == 1 {
 		return nil
 	}
-	sharpenInPlace(dst, f.cfg.Sharpen, pool)
+	sharpenInPlace(f.cfg.Sched, dst, f.cfg.Sharpen, pool)
 	return nil
 }
 
 // sharpenInPlace applies unsharp masking with a 3×3 binomial blur and
 // overshoot clamping to the local 3×3 extrema, which restores the
 // mid-frequency energy lost by the decimation/interpolation chain without
-// introducing ringing halos.
-func sharpenInPlace(im *frame.Image, alpha float64, pool *bufpool.Pool) {
-	for _, plane := range [][]uint8{im.R, im.G, im.B} {
-		sharpenPlane(plane, im.W, im.H, im.Stride, alpha, pool)
+// introducing ringing halos. Edge pixels replicate outward.
+//
+// The three source planes are copied first; then every row of every plane
+// is one item of a single parallel grid attributed to c. A row builds the
+// vertical column sums a+2b+c and column extrema of its three source rows
+// in per-worker scratch, then combines them horizontally — the same integer
+// blur and extrema as the 9-tap form, fed to the same float64 gain and
+// clamp, so the output bytes do not depend on the worker count.
+func sharpenInPlace(c *parallel.Client, im *frame.Image, alpha float64, pool *bufpool.Pool) {
+	w, h := im.W, im.H
+	n := w * h
+	src := pool.Bytes(3 * n)
+	for pl, p := range [3][]uint8{im.R, im.G, im.B} {
+		s := src[pl*n : (pl+1)*n]
+		for y := 0; y < h; y++ {
+			copy(s[y*w:(y+1)*w], p[y*im.Stride:y*im.Stride+w])
+		}
 	}
+	parallel.ForWithOn(c, 3*h, sharpenScratch, func(lo, hi int, sp *[]int32) {
+		if cap(*sp) < 3*w {
+			*sp = make([]int32, 3*w)
+		}
+		sc := (*sp)[:3*w]
+		planes := [3][]uint8{im.R, im.G, im.B}
+		for i := lo; i < hi; i++ {
+			pl, y := i/h, i%h
+			o := y * im.Stride
+			sharpenRow(planes[pl][o:o+w], src[pl*n:(pl+1)*n], w, h, y, alpha, sc)
+		}
+	})
+	pool.PutBytes(src)
 }
 
-func sharpenPlane(p []uint8, w, h, stride int, alpha float64, pool *bufpool.Pool) {
-	src := pool.Bytes(len(p))
-	defer pool.PutBytes(src)
-	copy(src, p)
-	at := func(x, y int) int {
-		if x < 0 {
-			x = 0
-		} else if x >= w {
-			x = w - 1
-		}
-		if y < 0 {
-			y = 0
-		} else if y >= h {
-			y = h - 1
-		}
-		return int(src[y*stride+x])
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			c := at(x, y)
-			// 3×3 binomial blur (1 2 1 / 2 4 2 / 1 2 1)/16 and local extrema.
-			lo, hi := c, c
-			blur := 0
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					v := at(x+dx, y+dy)
-					wgt := (2 - absInt(dx)) * (2 - absInt(dy))
-					blur += wgt * v
-					if v < lo {
-						lo = v
-					}
-					if v > hi {
-						hi = v
-					}
-				}
-			}
-			out := float64(c) + alpha*(float64(c)-float64(blur)/16)
-			if out < float64(lo) {
-				out = float64(lo)
-			} else if out > float64(hi) {
-				out = float64(hi)
-			}
-			p[y*stride+x] = uint8(clampF(out, 0, 255) + 0.5)
-		}
-	}
-}
+// sharpenScratch holds one worker's column sums, minima and maxima for
+// sharpenRow (3·W values, grown to the widest image seen).
+var sharpenScratch = parallel.NewScratch(func() *[]int32 { return new([]int32) })
 
-func absInt(v int) int {
-	if v < 0 {
-		return -v
+// sharpenRow writes row y of the sharpened plane into dst from the compact
+// w×h source plane src, using sc (length 3·w) as scratch.
+func sharpenRow(dst, src []uint8, w, h, y int, alpha float64, sc []int32) {
+	up := src[max(y-1, 0)*w:][:w]
+	mid := src[y*w:][:w]
+	dn := src[min(y+1, h-1)*w:][:w]
+	sum, cmin, cmax := sc[:w], sc[w:2*w], sc[2*w:3*w]
+	for x := range sum {
+		a, b, c := int32(up[x]), int32(mid[x]), int32(dn[x])
+		sum[x] = a + 2*b + c
+		cmin[x] = min(a, b, c)
+		cmax[x] = max(a, b, c)
 	}
-	return v
+	dst = dst[:w]
+	for x := range dst {
+		xl, xr := max(x-1, 0), min(x+1, w-1)
+		// 3×3 binomial blur (1 2 1 / 2 4 2 / 1 2 1)/16 and local extrema.
+		blur := sum[xl] + 2*sum[x] + sum[xr]
+		lo := min(cmin[xl], cmin[x], cmin[xr])
+		hi := max(cmax[xl], cmax[x], cmax[xr])
+		c := mid[x]
+		out := float64(c) + alpha*(float64(c)-float64(blur)/16)
+		if out < float64(lo) {
+			out = float64(lo)
+		} else if out > float64(hi) {
+			out = float64(hi)
+		}
+		dst[x] = uint8(clampF(out, 0, 255) + 0.5)
+	}
 }
 
 func clampF(v, lo, hi float64) float64 {

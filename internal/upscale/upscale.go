@@ -9,6 +9,13 @@
 // images of internal/frame and are exact on the class of images their kernel
 // reproduces (constants for all, linear ramps for bilinear and up), which the
 // property tests exploit.
+//
+// A filter bank whose weights are all multiples of 2⁻¹⁶ — bilinear at 2× and
+// 4× upscale, nearest and area at 2× and 4× either way — runs in exact 16.16
+// fixed point; every other bank (Lanczos-3, bicubic, other ratios) runs in
+// float64. For a dyadic bank the float64
+// sums are themselves exact, so the output bytes are identical either way:
+// the choice follows from the geometry alone and is invisible to callers.
 package upscale
 
 import (
@@ -177,12 +184,80 @@ func MustResize(src *frame.Image, dstW, dstH int, k Kind) *frame.Image {
 type tapSet struct {
 	first   int
 	weights []float64
+	// fixed is weights scaled by 2¹⁶, set only when the whole bank is exact
+	// in fixed point (see bank).
+	fixed []int32
+}
+
+// pair is a fixed-point tapSet of at most two taps, padded so the two-tap
+// loops need no length test: a single tap repeats its index with weight 0.
+type pair struct {
+	i0, i1 int32
+	w0, w1 int32
+}
+
+// bank is one polyphase filter bank: a tapSet per destination coordinate,
+// plus its fixed-point form when every weight·2¹⁶ is an integer and
+// 255·Σ|w·2¹⁶| < 2³¹ at every coordinate. Then each float64 product and
+// partial sum is a multiple of 2⁻¹⁶ below 2¹⁵ in magnitude — exact — so an
+// int32 accumulator reproduces the float64 path and clampByte bit for bit.
+// pairs is set instead of the per-tapSet fixed slices when no coordinate
+// has more than two taps (bilinear upscaling).
+type bank struct {
+	taps  []tapSet
+	fixed bool
+	pairs []pair
+}
+
+// fixShift is the fractional precision of the fixed-point banks.
+const fixShift = 16
+
+// newBank wraps taps, adding the fixed-point form when it is exact.
+func newBank(taps []tapSet) *bank {
+	b := &bank{taps: taps}
+	n, maxTaps := 0, 0
+	for _, t := range taps {
+		var abs int64
+		for _, w := range t.weights {
+			s := math.Ldexp(w, fixShift)
+			if s != math.Trunc(s) || math.Abs(s) >= 1<<31 {
+				return b
+			}
+			abs += int64(math.Abs(s))
+		}
+		if 255*abs >= 1<<31 {
+			return b
+		}
+		n += len(t.weights)
+		maxTaps = max(maxTaps, len(t.weights))
+	}
+	b.fixed = true
+	if maxTaps <= 2 {
+		b.pairs = make([]pair, len(taps))
+		for d, t := range taps {
+			q := pair{i0: int32(t.first), i1: int32(t.first), w0: int32(math.Ldexp(t.weights[0], fixShift))}
+			if len(t.weights) == 2 {
+				q.i1, q.w1 = q.i0+1, int32(math.Ldexp(t.weights[1], fixShift))
+			}
+			b.pairs[d] = q
+		}
+		return b
+	}
+	backing := make([]int32, n)
+	for d := range taps {
+		t := &taps[d]
+		t.fixed, backing = backing[:len(t.weights):len(t.weights)], backing[len(t.weights):]
+		for i, w := range t.weights {
+			t.fixed[i] = int32(math.Ldexp(w, fixShift))
+		}
+	}
+	return b
 }
 
 // weightsKey identifies one polyphase filter bank. The pipeline resamples
 // the same few geometries every frame, so banks are computed once and
-// shared; tapSets are immutable after construction, making the cached
-// slices safe to read concurrently.
+// shared; banks are immutable after construction, making the cached values
+// safe to read concurrently.
 type weightsKey struct {
 	srcN, dstN int
 	k          Kind
@@ -190,23 +265,23 @@ type weightsKey struct {
 
 var (
 	weightsMu    sync.Mutex
-	weightsCache = map[weightsKey][]tapSet{}
+	weightsCache = map[weightsKey]*bank{}
 )
 
 // cachedWeights returns the (shared, read-only) filter bank for the mapping,
 // building and memoising it on first use.
-func cachedWeights(srcN, dstN int, k Kind) []tapSet {
+func cachedWeights(srcN, dstN int, k Kind) *bank {
 	key := weightsKey{srcN: srcN, dstN: dstN, k: k}
 	weightsMu.Lock()
-	ts, ok := weightsCache[key]
+	b, ok := weightsCache[key]
 	if !ok {
 		// Built under the lock: duplicate work on a cold key is rarer than
 		// the contention is cheap, and it keeps a single canonical bank.
-		ts = buildWeights(srcN, dstN, k)
-		weightsCache[key] = ts
+		b = newBank(buildWeights(srcN, dstN, k))
+		weightsCache[key] = b
 	}
 	weightsMu.Unlock()
-	return ts
+	return b
 }
 
 // buildWeights computes the polyphase filter bank mapping srcN samples onto
@@ -219,6 +294,10 @@ func buildWeights(srcN, dstN int, k Kind) []tapSet {
 	}
 	support := k.support() * filterScale
 	out := make([]tapSet, dstN)
+	// Every coordinate's weights share one backing array (a coordinate has
+	// at most ⌊2·support⌋+1 taps), so a cache miss costs two allocations
+	// rather than one per destination sample.
+	backing := make([]float64, dstN*(int(2*support)+1))
 	for d := 0; d < dstN; d++ {
 		center := (float64(d)+0.5)*scale - 0.5
 		first := int(math.Ceil(center - support))
@@ -234,7 +313,9 @@ func buildWeights(srcN, dstN int, k Kind) []tapSet {
 			first = clampInt(int(center+0.5), 0, srcN-1)
 			last = first
 		}
-		ws := make([]float64, last-first+1)
+		n := last - first + 1
+		ws := backing[:n:n]
+		backing = backing[n:]
 		sum := 0.0
 		for i := first; i <= last; i++ {
 			w := k.weight((float64(i) - center) / filterScale)
@@ -269,7 +350,12 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-func resampleRows(c *parallel.Client, src, dst *frame.Image, taps []tapSet) {
+func resampleRows(c *parallel.Client, src, dst *frame.Image, bk *bank) {
+	if bk.fixed {
+		resampleRowsFixed(c, src, dst, bk)
+		return
+	}
+	taps := bk.taps
 	// Destination rows are disjoint, so row bands parallelise safely.
 	c.For(src.H, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
@@ -293,11 +379,48 @@ func resampleRows(c *parallel.Client, src, dst *frame.Image, taps []tapSet) {
 	})
 }
 
+// resampleRowsFixed is resampleRows for a bank with a fixed-point form.
+func resampleRowsFixed(c *parallel.Client, src, dst *frame.Image, bk *bank) {
+	c.For(src.H, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			so, do := y*src.Stride, y*dst.Stride
+			sr, sg, sb := src.R[so:so+src.W], src.G[so:so+src.W], src.B[so:so+src.W]
+			dr := dst.R[do : do+dst.W]
+			dg, db := dst.G[do:do+len(dr)], dst.B[do:do+len(dr)]
+			if bk.pairs != nil {
+				gather2(dr, sr, bk.pairs)
+				gather2(dg, sg, bk.pairs)
+				gather2(db, sb, bk.pairs)
+				continue
+			}
+			taps := bk.taps[:len(dr)]
+			for x := range dr {
+				t := &taps[x]
+				var r, g, b int32
+				for i, w := range t.fixed {
+					p := t.first + i
+					r += w * int32(sr[p])
+					g += w * int32(sg[p])
+					b += w * int32(sb[p])
+				}
+				dr[x] = fixByte(r)
+				dg[x] = fixByte(g)
+				db[x] = fixByte(b)
+			}
+		}
+	})
+}
+
 // colScratch holds the per-worker row accumulators of resampleCols, reused
 // across chunks, calls and frames (the buffers grow to the largest row seen).
 var colScratch = parallel.NewScratch(func() *[]float64 { return new([]float64) })
 
-func resampleCols(c *parallel.Client, src, dst *frame.Image, taps []tapSet) {
+func resampleCols(c *parallel.Client, src, dst *frame.Image, bk *bank) {
+	if bk.fixed {
+		resampleColsFixed(c, src, dst, bk)
+		return
+	}
+	taps := bk.taps
 	parallel.ForWithOn(c, dst.H, colScratch, func(y0, y1 int, sp *[]float64) {
 		// Tap-outer accumulation: each contributing source row is streamed
 		// sequentially into a row accumulator, which is cache-friendlier than
@@ -339,6 +462,59 @@ func resampleCols(c *parallel.Client, src, dst *frame.Image, taps []tapSet) {
 	})
 }
 
+// fixedColScratch is colScratch for the int32 accumulators of
+// resampleColsFixed.
+var fixedColScratch = parallel.NewScratch(func() *[]int32 { return new([]int32) })
+
+// resampleColsFixed is resampleCols for a bank with a fixed-point form. A
+// two-tap bank blends its two source rows directly; wider banks keep the
+// tap-outer accumulator (integer addition is exact, so tap order is moot).
+func resampleColsFixed(c *parallel.Client, src, dst *frame.Image, bk *bank) {
+	w := dst.W
+	parallel.ForWithOn(c, dst.H, fixedColScratch, func(y0, y1 int, sp *[]int32) {
+		var ra, ga, ba []int32
+		if bk.pairs == nil {
+			acc := *sp
+			if cap(acc) < 3*w {
+				acc = make([]int32, 3*w)
+				*sp = acc
+			}
+			ra, ga, ba = acc[0:w:w], acc[w:2*w:2*w], acc[2*w:3*w:3*w]
+		}
+		for y := y0; y < y1; y++ {
+			do := y * dst.Stride
+			dr := dst.R[do : do+w]
+			dg, db := dst.G[do:do+len(dr)], dst.B[do:do+len(dr)]
+			if bk.pairs != nil {
+				q := bk.pairs[y]
+				o0, o1 := int(q.i0)*src.Stride, int(q.i1)*src.Stride
+				blend2(dr, src.R[o0:o0+w], src.R[o1:o1+w], q.w0, q.w1)
+				blend2(dg, src.G[o0:o0+w], src.G[o1:o1+w], q.w0, q.w1)
+				blend2(db, src.B[o0:o0+w], src.B[o1:o1+w], q.w0, q.w1)
+				continue
+			}
+			t := &bk.taps[y]
+			clear(ra)
+			clear(ga)
+			clear(ba)
+			for i, wt := range t.fixed {
+				so := (t.first + i) * src.Stride
+				sr, sg, sb := src.R[so:so+len(ra)], src.G[so:so+len(ra)], src.B[so:so+len(ra)]
+				for x := range ra {
+					ra[x] += wt * int32(sr[x])
+					ga[x] += wt * int32(sg[x])
+					ba[x] += wt * int32(sb[x])
+				}
+			}
+			for x := range dr {
+				dr[x] = fixByte(ra[x])
+				dg[x] = fixByte(ga[x])
+				db[x] = fixByte(ba[x])
+			}
+		}
+	})
+}
+
 func clampByte(v float64) uint8 {
 	if v <= 0 {
 		return 0
@@ -347,6 +523,31 @@ func clampByte(v float64) uint8 {
 		return 255
 	}
 	return uint8(v + 0.5)
+}
+
+// gather2 resamples the source row s into d through a two-tap bank, one
+// plane at a time so the loop stays in registers.
+func gather2(d, s []uint8, pairs []pair) {
+	pairs = pairs[:len(d)]
+	for x := range d {
+		q := &pairs[x]
+		d[x] = fixByte(q.w0*int32(s[q.i0]) + q.w1*int32(s[q.i1]))
+	}
+}
+
+// blend2 writes the two-tap blend w0·s0 + w1·s1 of two source rows into d.
+func blend2(d, s0, s1 []uint8, w0, w1 int32) {
+	s0, s1 = s0[:len(d)], s1[:len(d)]
+	for x := range d {
+		d[x] = fixByte(w0*int32(s0[x]) + w1*int32(s1[x]))
+	}
+}
+
+// fixByte is clampByte for a 16.16 fixed-point accumulator: ≤0 → 0,
+// ≥255·2¹⁶ → 255, else round half up — the same byte clampByte gives for
+// the exactly equal float64 sum.
+func fixByte(acc int32) uint8 {
+	return uint8((min(max(acc, 0), 255<<fixShift) + 1<<(fixShift-1)) >> fixShift)
 }
 
 // Merge composites the upscaled RoI into the upscaled full frame at the RoI
@@ -412,7 +613,7 @@ func ResizePlaneIntoOn(c *parallel.Client, dst, src []float64, srcW, srcH, dstW,
 	c.For(srcH, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < dstW; x++ {
-				t := &hw[x]
+				t := &hw.taps[x]
 				var v float64
 				for i, w := range t.weights {
 					v += w * src[y*srcW+t.first+i]
@@ -423,7 +624,7 @@ func ResizePlaneIntoOn(c *parallel.Client, dst, src []float64, srcW, srcH, dstW,
 	})
 	c.For(dstH, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			t := &vw[y]
+			t := &vw.taps[y]
 			for x := 0; x < dstW; x++ {
 				var v float64
 				for i, w := range t.weights {

@@ -161,6 +161,10 @@ type sessionState struct {
 	dec     *codec.Decoder
 	engine  sr.Engine
 	up      baseUpscaler
+	// lastUp is a copy of the last presented frame, kept only for -save:
+	// up's base frame is overwritten as soon as the next frame's upscale
+	// starts, even if that frame then fails.
+	lastUp *frame.Image
 
 	frames, bytes int
 	dropped       uint32
@@ -255,8 +259,8 @@ func run(ctx context.Context, cc clientConfig) error {
 		}
 		logx.Info("flight dump written", "path", cc.flightPath)
 	}
-	if cc.save != "" && st.up.base != nil {
-		if err := st.up.base.SavePPM(cc.save); err != nil {
+	if cc.save != "" && st.lastUp != nil {
+		if err := st.lastUp.SavePPM(cc.save); err != nil {
 			return err
 		}
 		logx.Info("last upscaled frame saved", "path", cc.save)
@@ -478,6 +482,12 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
 		st.wSR = append(st.wSR, float64(dSR.Microseconds()))
 
+		if cc.save != "" {
+			if st.lastUp == nil || st.lastUp.W != base.W || st.lastUp.H != base.H {
+				st.lastUp = frame.NewImagePacked(base.W, base.H)
+			}
+			st.lastUp.CopyFrom(base)
+		}
 		st.frames++
 		st.bytes += len(pkt.Payload)
 		if pkt.Keyenc {

@@ -29,7 +29,7 @@ func dirtyImage(w, h int) *frame.Image {
 }
 
 // TestResizeFixedMatchesFloat requires byte equality between ResizeInto
-// (which takes the fixed-point loops for dyadic banks) and the float64
+// (which takes the fixed-point loops for two-tap dyadic banks) and the float64
 // loops, for every kernel over dyadic, non-dyadic, degenerate and
 // single-tap-edge geometries.
 func TestResizeFixedMatchesFloat(t *testing.T) {
@@ -64,22 +64,25 @@ func TestResizeFixedMatchesFloat(t *testing.T) {
 			if !got.Equal(want) {
 				t.Errorf("%s: fixed-point output differs from float64", name)
 			}
-			if cachedWeights(g.srcW, g.dstW, k).fixed || cachedWeights(g.srcH, g.dstH, k).fixed {
+			if cachedWeights(g.srcW, g.dstW, k).pairs != nil || cachedWeights(g.srcH, g.dstH, k).pairs != nil {
 				fixedCases++
 			}
 		}
 	}
 	// The dyadic banks the client runs every frame must take the integer
-	// path, and Lanczos-3 (not dyadic) must not.
+	// path; Lanczos-3 (not dyadic) and area ÷4 (four taps) must not.
 	for _, k := range []Kind{Bilinear, Nearest, Area} {
 		for _, g := range [][4]int{{1280, 720, 2560, 1440}, {11, 7, 44, 28}} {
-			if !cachedWeights(g[0], g[2], k).fixed || !cachedWeights(g[1], g[3], k).fixed {
+			if cachedWeights(g[0], g[2], k).pairs == nil || cachedWeights(g[1], g[3], k).pairs == nil {
 				t.Errorf("%v %dx%d -> %dx%d: expected the fixed-point path", k, g[0], g[1], g[2], g[3])
 			}
 		}
 	}
-	if cachedWeights(300, 600, Lanczos3).fixed {
+	if cachedWeights(300, 600, Lanczos3).pairs != nil {
 		t.Error("Lanczos-3 2x bank claims to be exact in fixed point")
+	}
+	if cachedWeights(32, 8, Area).pairs != nil {
+		t.Error("area 4x minification bank took the two-tap fixed-point path")
 	}
 	if fixedCases == 0 {
 		t.Fatal("no case reached the fixed-point path")
@@ -154,7 +157,7 @@ func FuzzResizeFixedMatchesFloat(f *testing.F) {
 		// Bilinear at 2× and 4× upscale is the client's hot case: it must
 		// take the fixed-point path at every size.
 		if k == Bilinear && mode%2 == 0 && mode/2%4 < 2 &&
-			(!cachedWeights(srcW, dstW, k).fixed || !cachedWeights(srcH, dstH, k).fixed) {
+			(cachedWeights(srcW, dstW, k).pairs == nil || cachedWeights(srcH, dstH, k).pairs == nil) {
 			t.Fatalf("bilinear %dx%d -> %dx%d did not take the fixed-point path", srcW, srcH, dstW, dstH)
 		}
 	})

@@ -10,12 +10,13 @@
 // reproduces (constants for all, linear ramps for bilinear and up), which the
 // property tests exploit.
 //
-// A filter bank whose weights are all multiples of 2⁻¹⁶ — bilinear at 2× and
-// 4× upscale, nearest and area at 2× and 4× either way — runs in exact 16.16
-// fixed point; every other bank (Lanczos-3, bicubic, other ratios) runs in
-// float64. For a dyadic bank the float64
-// sums are themselves exact, so the output bytes are identical either way:
-// the choice follows from the geometry alone and is invisible to callers.
+// A filter bank with at most two taps per coordinate whose weights are all
+// multiples of 2⁻¹⁶ — bilinear at 2× and 4× upscale, nearest and area at 2×
+// and 4× upscale and at 2× minification — runs in exact 16.16 fixed point;
+// every other bank (Lanczos-3, bicubic, other ratios, wider dyadic banks)
+// runs in float64. For such a bank the float64 sums are themselves exact, so
+// the output bytes are identical either way: the choice follows from the
+// geometry alone and is invisible to callers.
 package upscale
 
 import (
@@ -184,9 +185,6 @@ func MustResize(src *frame.Image, dstW, dstH int, k Kind) *frame.Image {
 type tapSet struct {
 	first   int
 	weights []float64
-	// fixed is weights scaled by 2¹⁶, set only when the whole bank is exact
-	// in fixed point (see bank).
-	fixed []int32
 }
 
 // pair is a fixed-point tapSet of at most two taps, padded so the two-tap
@@ -197,26 +195,26 @@ type pair struct {
 }
 
 // bank is one polyphase filter bank: a tapSet per destination coordinate,
-// plus its fixed-point form when every weight·2¹⁶ is an integer and
-// 255·Σ|w·2¹⁶| < 2³¹ at every coordinate. Then each float64 product and
-// partial sum is a multiple of 2⁻¹⁶ below 2¹⁵ in magnitude — exact — so an
-// int32 accumulator reproduces the float64 path and clampByte bit for bit.
-// pairs is set instead of the per-tapSet fixed slices when no coordinate
-// has more than two taps (bilinear upscaling).
+// plus its fixed-point form pairs when no coordinate has more than two taps,
+// every weight·2¹⁶ is an integer and 255·Σ|w·2¹⁶| < 2³¹ at every coordinate.
+// Then each float64 product and partial sum is a multiple of 2⁻¹⁶ below 2¹⁵
+// in magnitude — exact — so an int32 accumulator reproduces the float64 path
+// and clampByte bit for bit.
 type bank struct {
 	taps  []tapSet
-	fixed bool
 	pairs []pair
 }
 
 // fixShift is the fractional precision of the fixed-point banks.
 const fixShift = 16
 
-// newBank wraps taps, adding the fixed-point form when it is exact.
+// newBank wraps taps, adding the two-tap fixed-point form when it is exact.
 func newBank(taps []tapSet) *bank {
 	b := &bank{taps: taps}
-	n, maxTaps := 0, 0
 	for _, t := range taps {
+		if len(t.weights) > 2 {
+			return b
+		}
 		var abs int64
 		for _, w := range t.weights {
 			s := math.Ldexp(w, fixShift)
@@ -228,28 +226,14 @@ func newBank(taps []tapSet) *bank {
 		if 255*abs >= 1<<31 {
 			return b
 		}
-		n += len(t.weights)
-		maxTaps = max(maxTaps, len(t.weights))
 	}
-	b.fixed = true
-	if maxTaps <= 2 {
-		b.pairs = make([]pair, len(taps))
-		for d, t := range taps {
-			q := pair{i0: int32(t.first), i1: int32(t.first), w0: int32(math.Ldexp(t.weights[0], fixShift))}
-			if len(t.weights) == 2 {
-				q.i1, q.w1 = q.i0+1, int32(math.Ldexp(t.weights[1], fixShift))
-			}
-			b.pairs[d] = q
+	b.pairs = make([]pair, len(taps))
+	for d, t := range taps {
+		q := pair{i0: int32(t.first), i1: int32(t.first), w0: int32(math.Ldexp(t.weights[0], fixShift))}
+		if len(t.weights) == 2 {
+			q.i1, q.w1 = q.i0+1, int32(math.Ldexp(t.weights[1], fixShift))
 		}
-		return b
-	}
-	backing := make([]int32, n)
-	for d := range taps {
-		t := &taps[d]
-		t.fixed, backing = backing[:len(t.weights):len(t.weights)], backing[len(t.weights):]
-		for i, w := range t.weights {
-			t.fixed[i] = int32(math.Ldexp(w, fixShift))
-		}
+		b.pairs[d] = q
 	}
 	return b
 }
@@ -351,8 +335,8 @@ func clampInt(v, lo, hi int) int {
 }
 
 func resampleRows(c *parallel.Client, src, dst *frame.Image, bk *bank) {
-	if bk.fixed {
-		resampleRowsFixed(c, src, dst, bk)
+	if bk.pairs != nil {
+		resampleRowsFixed(c, src, dst, bk.pairs)
 		return
 	}
 	taps := bk.taps
@@ -380,33 +364,13 @@ func resampleRows(c *parallel.Client, src, dst *frame.Image, bk *bank) {
 }
 
 // resampleRowsFixed is resampleRows for a bank with a fixed-point form.
-func resampleRowsFixed(c *parallel.Client, src, dst *frame.Image, bk *bank) {
+func resampleRowsFixed(c *parallel.Client, src, dst *frame.Image, pairs []pair) {
 	c.For(src.H, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			so, do := y*src.Stride, y*dst.Stride
-			sr, sg, sb := src.R[so:so+src.W], src.G[so:so+src.W], src.B[so:so+src.W]
-			dr := dst.R[do : do+dst.W]
-			dg, db := dst.G[do:do+len(dr)], dst.B[do:do+len(dr)]
-			if bk.pairs != nil {
-				gather2(dr, sr, bk.pairs)
-				gather2(dg, sg, bk.pairs)
-				gather2(db, sb, bk.pairs)
-				continue
-			}
-			taps := bk.taps[:len(dr)]
-			for x := range dr {
-				t := &taps[x]
-				var r, g, b int32
-				for i, w := range t.fixed {
-					p := t.first + i
-					r += w * int32(sr[p])
-					g += w * int32(sg[p])
-					b += w * int32(sb[p])
-				}
-				dr[x] = fixByte(r)
-				dg[x] = fixByte(g)
-				db[x] = fixByte(b)
-			}
+			gather2(dst.R[do:do+dst.W], src.R[so:so+src.W], pairs)
+			gather2(dst.G[do:do+dst.W], src.G[so:so+src.W], pairs)
+			gather2(dst.B[do:do+dst.W], src.B[so:so+src.W], pairs)
 		}
 	})
 }
@@ -416,8 +380,8 @@ func resampleRowsFixed(c *parallel.Client, src, dst *frame.Image, bk *bank) {
 var colScratch = parallel.NewScratch(func() *[]float64 { return new([]float64) })
 
 func resampleCols(c *parallel.Client, src, dst *frame.Image, bk *bank) {
-	if bk.fixed {
-		resampleColsFixed(c, src, dst, bk)
+	if bk.pairs != nil {
+		resampleColsFixed(c, src, dst, bk.pairs)
 		return
 	}
 	taps := bk.taps
@@ -462,55 +426,17 @@ func resampleCols(c *parallel.Client, src, dst *frame.Image, bk *bank) {
 	})
 }
 
-// fixedColScratch is colScratch for the int32 accumulators of
-// resampleColsFixed.
-var fixedColScratch = parallel.NewScratch(func() *[]int32 { return new([]int32) })
-
-// resampleColsFixed is resampleCols for a bank with a fixed-point form. A
-// two-tap bank blends its two source rows directly; wider banks keep the
-// tap-outer accumulator (integer addition is exact, so tap order is moot).
-func resampleColsFixed(c *parallel.Client, src, dst *frame.Image, bk *bank) {
+// resampleColsFixed is resampleCols for a bank with a fixed-point form: each
+// destination row blends its two source rows directly.
+func resampleColsFixed(c *parallel.Client, src, dst *frame.Image, pairs []pair) {
 	w := dst.W
-	parallel.ForWithOn(c, dst.H, fixedColScratch, func(y0, y1 int, sp *[]int32) {
-		var ra, ga, ba []int32
-		if bk.pairs == nil {
-			acc := *sp
-			if cap(acc) < 3*w {
-				acc = make([]int32, 3*w)
-				*sp = acc
-			}
-			ra, ga, ba = acc[0:w:w], acc[w:2*w:2*w], acc[2*w:3*w:3*w]
-		}
+	c.For(dst.H, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
-			do := y * dst.Stride
-			dr := dst.R[do : do+w]
-			dg, db := dst.G[do:do+len(dr)], dst.B[do:do+len(dr)]
-			if bk.pairs != nil {
-				q := bk.pairs[y]
-				o0, o1 := int(q.i0)*src.Stride, int(q.i1)*src.Stride
-				blend2(dr, src.R[o0:o0+w], src.R[o1:o1+w], q.w0, q.w1)
-				blend2(dg, src.G[o0:o0+w], src.G[o1:o1+w], q.w0, q.w1)
-				blend2(db, src.B[o0:o0+w], src.B[o1:o1+w], q.w0, q.w1)
-				continue
-			}
-			t := &bk.taps[y]
-			clear(ra)
-			clear(ga)
-			clear(ba)
-			for i, wt := range t.fixed {
-				so := (t.first + i) * src.Stride
-				sr, sg, sb := src.R[so:so+len(ra)], src.G[so:so+len(ra)], src.B[so:so+len(ra)]
-				for x := range ra {
-					ra[x] += wt * int32(sr[x])
-					ga[x] += wt * int32(sg[x])
-					ba[x] += wt * int32(sb[x])
-				}
-			}
-			for x := range dr {
-				dr[x] = fixByte(ra[x])
-				dg[x] = fixByte(ga[x])
-				db[x] = fixByte(ba[x])
-			}
+			q := pairs[y]
+			do, o0, o1 := y*dst.Stride, int(q.i0)*src.Stride, int(q.i1)*src.Stride
+			blend2(dst.R[do:do+w], src.R[o0:o0+w], src.R[o1:o1+w], q.w0, q.w1)
+			blend2(dst.G[do:do+w], src.G[o0:o0+w], src.G[o1:o1+w], q.w0, q.w1)
+			blend2(dst.B[do:do+w], src.B[o0:o0+w], src.B[o1:o1+w], q.w0, q.w1)
 		}
 	})
 }
